@@ -9,7 +9,9 @@ Parking detection uses NS/CNAME records as in §5.1.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -29,23 +31,28 @@ class DnsRecord:
 class Resolver:
     """Domain -> record store with per-vantage overrides.
 
-    Records can be added eagerly (:meth:`add`) or derived on demand by a
-    *fallback* (:meth:`set_fallback`): a callable consulted on a lookup
-    miss, whose non-None answers are memoised.  The world builder uses
-    the fallback as a lazy DNS section — zone records are a pure
-    function of the domain/site tables, so they need not be materialised
-    until something actually resolves them.  Explicit records and
-    per-vantage overrides always win over the fallback.
+    Records can be added explicitly (:meth:`add`) or derived on demand
+    by a *fallback* (:meth:`set_fallback`): a callable consulted on a
+    lookup miss, whose non-None answers are memoised apart from the
+    explicit records.  The world builder uses the fallback as a lazy
+    DNS section — zone records are a pure function of the domain/site
+    tables, so they need not be materialised until something actually
+    resolves them, and the scan planner reads the tables directly,
+    consulting only :attr:`explicit_records`.  Per-vantage overrides
+    win over explicit records, which win over the fallback.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, DnsRecord] = {}
+        self._derived: dict[str, DnsRecord] = {}
         self._overrides: dict[tuple[str, str], DnsRecord] = {}
         self._fallback = None
 
     # ------------------------------------------------------------------
     def add(self, domain: str, record: DnsRecord) -> None:
+        """Install an authoritative record (shadows any derived answer)."""
         self._records[domain] = record
+        self._derived.pop(domain, None)
 
     def add_override(self, vantage_id: str, domain: str, record: DnsRecord) -> None:
         """Install a geo-specific answer for one vantage point."""
@@ -55,6 +62,15 @@ class Resolver:
         """Install the lazy-derivation hook (``fallback(domain) -> DnsRecord | None``)."""
         self._fallback = fallback
 
+    @property
+    def explicit_records(self) -> Mapping[str, DnsRecord]:
+        """The records installed with :meth:`add` (read-only view).
+
+        Never includes memoised fallback answers, so a caller that can
+        derive the fallback itself only has to look names up here.
+        """
+        return MappingProxyType(self._records)
+
     # ------------------------------------------------------------------
     def resolve(self, domain: str, *, vantage_id: str | None = None) -> DnsRecord | None:
         """Full record set for ``domain`` as seen from ``vantage_id``."""
@@ -63,10 +79,13 @@ class Resolver:
             if override is not None:
                 return override
         record = self._records.get(domain)
+        if record is not None:
+            return record
+        record = self._derived.get(domain)
         if record is None and self._fallback is not None:
             record = self._fallback(domain)
             if record is not None:
-                self._records[domain] = record
+                self._derived[domain] = record
         return record
 
     def resolve_address(
@@ -79,4 +98,5 @@ class Resolver:
         return record.a if family == 4 else record.aaaa
 
     def known_domains(self) -> int:
-        return len(self._records)
+        """Records held: explicit ones plus memoised fallback answers."""
+        return len(self._records) + len(self._derived)

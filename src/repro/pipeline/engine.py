@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import starmap
 from time import perf_counter
-from typing import TYPE_CHECKING, Final, Sequence
+from typing import Final, Sequence
 
 from repro.exchange import (
     ExchangeCache,
@@ -84,9 +84,7 @@ from repro.scanner.tcp_scan import TcpScanConfig, scan_site_tcp, tcp_client_conf
 from repro.store.columns import plan_columns
 from repro.util.rng import RngStream
 from repro.util.weeks import Week
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (world -> engine)
-    from repro.web.world import Site, World
+from repro.web.world import Site, World, domain_address
 
 #: Event kinds of the site phase, ordered as the reference loop fires
 #: them at one domain position (QUIC before TCP).
@@ -308,11 +306,12 @@ class SiteResultCache:
 class ScanEngine:
     """Runs weekly scans site-first against one :class:`World`.
 
-    Plans cache DNS bindings, org attribution and per-site domain lists
-    per (family, populations); create the engine via
+    Plans cache address bindings, org attribution and per-site domain
+    lists per (family, populations); create the engine via
     :meth:`World.scan_engine` so campaigns share one instance.  Call
     :meth:`invalidate` after mutating the world's resolver, prefix table
-    or domain set post-build.
+    or domain set post-build: a plan reads the resolver's explicit
+    records only when it is built.
 
     ``exchange_cache`` (default on) routes every site exchange through
     the outcome replay cache (:mod:`repro.exchange`): an exchange whose
@@ -353,42 +352,91 @@ class ScanEngine:
         key = (ip_version, tuple(populations))
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._build_plan(*key)
+            telemetry = self.telemetry
+            if telemetry is None:
+                plan = self._build_plan(*key)
+            else:
+                plan = self._build_plan_traced(telemetry, *key)
             self._plans[key] = plan
         return plan
 
+    def _build_plan_traced(
+        self, telemetry, ip_version: int, populations: tuple[str, ...]
+    ) -> ScanPlan:
+        """:meth:`_build_plan` inside a ``plan`` phase span + registry metrics."""
+        tracer = telemetry.tracer
+        span = tracer.begin(
+            "plan", "phase", ip_version=ip_version, populations=",".join(populations)
+        )
+        start = perf_counter()
+        plan = self._build_plan(ip_version, populations)
+        elapsed = perf_counter() - start
+        span.attrs["domains"] = len(plan.protos)
+        span.attrs["sites"] = len(plan.sites)
+        tracer.end(span)
+        registry = telemetry.registry
+        seconds = registry.gauge("pipeline.plan.seconds")
+        seconds.set(seconds.value + elapsed)
+        registry.add_counter("pipeline.plan.domains", len(plan.protos))
+        return plan
+
     def _build_plan(self, ip_version: int, populations: tuple[str, ...]) -> ScanPlan:
+        """One pass over the domain table: protos and site plans together.
+
+        A domain's address comes straight from the domain/site tables
+        (:func:`~repro.web.world.domain_address`, the rule the lazy DNS
+        section derives its records from), so planning materialises no
+        DNS record.  Names with an explicitly added resolver record are
+        the exception: that record is authoritative and may point the
+        domain at another site, at an unregistered IP or nowhere.
+
+        Each attributed domain is appended to its site's plan in the
+        same pass, so sites come out ordered by first attributed
+        position and every site's positions ascend.
+        """
         world = self.world
         # Attribution is a lazy world section; the plan bakes Site.org
         # into its protos, so materialise it before the first walk.
         world.ensure_site_attribution()
-        resolve = world.resolver.resolve_address
+        explicit = world.resolver.explicit_records
         site_by_ip = world.site_by_ip
+        sites = world.sites
         protos: list[tuple] = []
-        #: domain index -> (observation position, site index, address)
-        attributed: dict[int, tuple[int, int, str]] = {}
-        position = 0
-        for domain_index, domain in enumerate(world.domains):
+        ordered: list[SitePlan] = []
+        #: site index -> (its plan, its org)
+        by_site: dict[int, tuple[SitePlan, str]] = {}
+        for domain in world.domains:
             if domain.population not in populations:
                 continue
+            position = len(protos)
             name = domain.name
-            address = resolve(name, family=ip_version)
+            record = explicit.get(name) if explicit else None
+            if record is not None:
+                address = record.a if ip_version == 4 else record.aaaa
+                site = None if address is None else site_by_ip(address)
+            elif domain.site_index >= 0:
+                site = sites[domain.site_index]
+                address = domain_address(domain, site, ip_version)
+            else:
+                address = None
             if address is None:
                 protos.append((name, domain.population, domain.lists, domain.parked, False))
-                position += 1
                 continue
-            site = site_by_ip(address)
             if site is None:  # defensive: IP without a registered host
                 protos.append(
                     (name, domain.population, domain.lists, domain.parked, True, address)
                 )
-                position += 1
                 continue
-            org = (
-                site.org
-                if site.asn is not None
-                else world.asorg.org_for(world.prefixes.lookup(site.ip))
-            )
+            entry = by_site.get(site.index)
+            if entry is None:
+                org = (
+                    site.org
+                    if site.asn is not None
+                    else world.asorg.org_for(world.prefixes.lookup(site.ip))
+                )
+                entry = by_site[site.index] = (SitePlan(site.index, address), org)
+                ordered.append(entry[0])
+            plan_site, org = entry
             protos.append(
                 (
                     name,
@@ -401,74 +449,15 @@ class ScanEngine:
                     site.index,
                 )
             )
-            attributed[domain_index] = (position, site.index, address)
-            position += 1
+            plan_site.positions.append(position)
+            plan_site.ranks.append(domain.adoption_rank)
+            plan_site.names.append(name)
         return ScanPlan(
             ip_version=ip_version,
             populations=populations,
             protos=protos,
-            sites=self._group_by_site(attributed),
+            sites=ordered,
         )
-
-    def _group_by_site(
-        self, attributed: dict[int, tuple[int, int, str]]
-    ) -> list[SitePlan]:
-        """Fan attributed domains out to per-site plans.
-
-        Walks the world's precomputed ``site_domains`` bindings (the
-        normal case: DNS points every attached domain at its own site);
-        attributions the bindings do not cover — a resolver mutated
-        post-build to point a domain elsewhere — fall back to direct
-        grouping so reference semantics hold for them too.
-        """
-        world = self.world
-        domains = world.domains
-        by_site: dict[int, SitePlan] = {}
-        ordered: list[SitePlan] = []
-        for site_index, domain_indices in enumerate(world.site_domains):
-            plan_site = None
-            for domain_index in domain_indices:
-                entry = attributed.get(domain_index)
-                if entry is None or entry[1] != site_index:
-                    continue
-                del attributed[domain_index]
-                if plan_site is None:
-                    plan_site = SitePlan(site_index=site_index, address=entry[2])
-                    by_site[site_index] = plan_site
-                    ordered.append(plan_site)
-                domain = domains[domain_index]
-                plan_site.positions.append(entry[0])
-                plan_site.ranks.append(domain.adoption_rank)
-                plan_site.names.append(domain.name)
-        if attributed:  # leftovers outside the build-time bindings
-            touched: set[int] = set()
-            for domain_index in sorted(attributed):
-                pos, site_index, address = attributed[domain_index]
-                plan_site = by_site.get(site_index)
-                if plan_site is None:
-                    plan_site = SitePlan(site_index=site_index, address=address)
-                    by_site[site_index] = plan_site
-                    ordered.append(plan_site)
-                domain = domains[domain_index]
-                plan_site.positions.append(pos)
-                plan_site.ranks.append(domain.adoption_rank)
-                plan_site.names.append(domain.name)
-                touched.add(site_index)
-            for site_index in touched:  # restore scan-order within the site
-                plan_site = by_site[site_index]
-                triples = sorted(
-                    zip(plan_site.positions, plan_site.ranks, plan_site.names, strict=True)
-                )
-                plan_site.positions = [t[0] for t in triples]
-                plan_site.ranks = [t[1] for t in triples]
-                plan_site.names = [t[2] for t in triples]
-        # Scheduling merges the TCP stream (a site's first position) with
-        # the position-sorted QUIC trigger index, so the "ordered by first
-        # attributed position" contract is enforced here rather than
-        # assumed.  For worlds built normally this is already the append
-        # order and the sort is a linear no-op.
-        ordered.sort(key=lambda plan_site: plan_site.positions[0])
-        return ordered
 
     # ------------------------------------------------------------------
     # Site phase scheduling

@@ -120,7 +120,11 @@ class World:
       from that vantage (:meth:`ensure_routes`; router addresses are a
       pure function of the section, not of materialisation order);
     * **DNS records** — derived per domain from the domain/site tables
-      on the first resolve (the resolver fallback, memoised);
+      when a name is first resolved through ``resolver`` (the resolver
+      fallback, memoised).  Scans never materialise them: the scan
+      planner reads each domain's address off the same tables
+      (:func:`domain_address`) and consults the resolver only for names
+      with an explicitly added record, which stays authoritative;
     * **site attribution** — the per-site ASN/org trie walk, run once
       before the first scan plan (:meth:`ensure_site_attribution`);
     * **responses / policies** — per-site canned responses and
@@ -179,7 +183,7 @@ class World:
     # ------------------------------------------------------------------
     @property
     def site_domains(self) -> list[list[int]]:
-        """Per-site indices into ``domains`` (the attribution fan-out lists).
+        """Per-site indices into ``domains`` (what :meth:`domains_of` walks).
 
         A lazy section: a pure function of the domain table, derived on
         first access and rebuilt if the table has grown since (tests
@@ -561,11 +565,23 @@ def _attach_domain(world: World, domain: Domain, site: Site) -> None:
     world.domains.append(domain)
 
 
+def domain_address(domain: Domain, site: Site, family: int) -> str | None:
+    """The A (family 4) or AAAA (family 6) answer of an attached domain.
+
+    The one definition of a domain's zone address: :func:`dns_record_for`
+    builds its record from it and the scan planner reads it straight off
+    the domain/site tables without going through the resolver.
+    """
+    if family == 4:
+        return site.ip
+    return site.ipv6 if domain.has_aaaa else None
+
+
 def dns_record_for(domain: Domain, site: Site) -> DnsRecord:
     """The zone record of one attached domain (pure function of the tables)."""
     return DnsRecord(
-        a=site.ip,
-        aaaa=site.ipv6 if domain.has_aaaa else None,
+        a=domain_address(domain, site, 4),
+        aaaa=domain_address(domain, site, 6),
         cname="parking.example" if domain.parked else None,
         ns=("ns1.parkingcrew.example",) if domain.parked else (),
     )

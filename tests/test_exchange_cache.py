@@ -298,7 +298,8 @@ def test_preordered_emission_matches_sorted_reference():
 
 
 def test_preordered_emission_matches_reference_after_resolver_mutation():
-    """The fallback grouping (out-of-binding attributions) stays ordered."""
+    """A domain an explicit record points at another site stays in
+    position order within that site's plan and the emitted events."""
     from repro.dns.resolver import DnsRecord
 
     world = repro.build_world(WorldConfig(scale=SCALE))

@@ -306,6 +306,18 @@ def test_inline_campaign_trace_is_exportable(tmp_path):
     assert ("campaign", "week") in names
     assert ("phase", "site") in names
     assert ("phase", "attribution") in names
+    # The fresh world's plan is built inside the first week.
+    plans = [event for event in events if (event["cat"], event["name"]) == ("phase", "plan")]
+    assert len(plans) == 1
+    plan_args = plans[0]["args"]
+    cno_domains = sum(1 for domain in world.domains if domain.population == "cno")
+    assert plan_args["ip_version"] == 4
+    assert plan_args["populations"] == "cno"
+    assert plan_args["domains"] == cno_domains
+    assert 0 < plan_args["sites"] <= len(world.sites)
+    registry = telemetry.registry
+    assert registry.value("pipeline.plan.domains") == cno_domains
+    assert registry.value("pipeline.plan.seconds") > 0
 
 
 # ----------------------------------------------------------------------

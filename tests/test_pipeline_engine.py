@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.codepoints import ECN
+from repro.dns.resolver import DnsRecord
 from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT
 from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
@@ -86,8 +89,8 @@ def test_engine_matches_reference_include_tcp():
 
 def test_engine_matches_reference_with_cross_site_resolver_override():
     """A resolver mutated post-build (domain pointed at another site's
-    IP) exercises the plan's fallback grouping outside ``site_domains``."""
-    from repro.dns.resolver import DnsRecord
+    IP): the explicit record wins over the table-derived address, and
+    the domain joins the other site's plan."""
 
     def mutated(world):
         domain = next(d for d in world.domains if d.site_index == 0)
@@ -234,3 +237,117 @@ def test_world_site_attribution_materialised():
     for site in world.sites[:25]:
         for domain in world.domains_of(site):
             assert domain.site_index == site.index
+
+
+# ----------------------------------------------------------------------
+# Table-derived plans == resolver-walk plans
+# ----------------------------------------------------------------------
+def _resolver_walk_plan(world, ip_version, populations):
+    """The planner before plans were derived from the tables: resolve
+    every domain through the resolver, then group attributions by the
+    world's ``site_domains`` bindings, with the attributions outside
+    them (explicit records pointing elsewhere) grouped afterwards and
+    re-sorted.  Returns ``(protos, [(site, address, positions, ranks,
+    names), ...])``."""
+    world.ensure_site_attribution()
+    domains = world.domains
+    protos = []
+    attributed = {}  # domain index -> (position, site index, address)
+    for domain_index, domain in enumerate(domains):
+        if domain.population not in populations:
+            continue
+        base = (domain.name, domain.population, domain.lists, domain.parked)
+        address = world.resolver.resolve_address(domain.name, family=ip_version)
+        site = None if address is None else world.site_by_ip(address)
+        if address is None:
+            protos.append(base + (False,))
+        elif site is None:
+            protos.append(base + (True, address))
+        else:
+            org = (
+                site.org
+                if site.asn is not None
+                else world.asorg.org_for(world.prefixes.lookup(site.ip))
+            )
+            attributed[domain_index] = (len(protos), site.index, address)
+            protos.append(base + (True, address, org, site.index))
+    grouped = {}  # site index -> (address, [(position, rank, name)])
+
+    def add(domain_index):
+        position, site_index, address = attributed.pop(domain_index)
+        domain = domains[domain_index]
+        entries = grouped.setdefault(site_index, (address, []))[1]
+        entries.append((position, domain.adoption_rank, domain.name))
+
+    for site_index, domain_indices in enumerate(world.site_domains):
+        for domain_index in domain_indices:
+            entry = attributed.get(domain_index)
+            if entry is not None and entry[1] == site_index:
+                add(domain_index)
+    for domain_index in sorted(attributed):
+        add(domain_index)
+    sites = []
+    for site_index, (address, entries) in grouped.items():
+        entries.sort()
+        sites.append(
+            (
+                site_index,
+                address,
+                [e[0] for e in entries],
+                [e[1] for e in entries],
+                [e[2] for e in entries],
+            )
+        )
+    sites.sort(key=lambda site: site[2][0])
+    return protos, sites
+
+
+_RECORD_KINDS = ("other-site", "unregistered", "empty", "aaaa-only")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    scale=st.integers(30_000, 400_000),
+    seed=st.integers(0, 2**31 - 1),
+    records=st.lists(
+        st.tuples(
+            st.sampled_from(_RECORD_KINDS),
+            st.integers(0, 2**31 - 1),  # which domain
+            st.integers(0, 2**31 - 1),  # which target site
+        ),
+        max_size=12,
+    ),
+)
+def test_table_derived_plan_matches_resolver_walk(scale, seed, records):
+    """Plans read addresses off the domain/site tables and consult the
+    resolver only for explicit records; on generated worlds with
+    explicit records of every shape they equal the resolver walk."""
+    world = repro.build_world(WorldConfig(scale=scale, seed=seed))
+    v6_sites = [site for site in world.sites if site.ipv6 is not None]
+    for kind, domain_pick, site_pick in records:
+        name = world.domains[domain_pick % len(world.domains)].name
+        target = world.sites[site_pick % len(world.sites)]
+        if kind == "other-site":
+            record = DnsRecord(a=target.ip, aaaa=target.ipv6)
+        elif kind == "unregistered":
+            host = site_pick % 250 + 1
+            record = DnsRecord(a=f"198.51.100.{host}", aaaa=f"2001:db8:ffff::{host:x}")
+        elif kind == "empty":
+            record = DnsRecord()
+        else:
+            aaaa = v6_sites[site_pick % len(v6_sites)].ipv6 if v6_sites else "2001:db8:ffff::1"
+            record = DnsRecord(aaaa=aaaa)
+        world.resolver.add(name, record)
+    engine = world.scan_engine()
+    plans = {
+        (ip_version, populations): engine.plan_for(ip_version, populations)
+        for ip_version in (4, 6)
+        for populations in (("cno",), ("toplist",), ("cno", "toplist"))
+    }
+    # Planning materialised no fallback DNS record.
+    assert world.resolver.known_domains() == len(world.resolver.explicit_records)
+    for (ip_version, populations), plan in plans.items():
+        protos, sites = _resolver_walk_plan(world, ip_version, populations)
+        actual = [(s.site_index, s.address, s.positions, s.ranks, s.names) for s in plan.sites]
+        assert plan.protos == protos
+        assert actual == sites

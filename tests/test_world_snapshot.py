@@ -236,12 +236,19 @@ def test_world_sections_stay_lazy_until_touched():
     assert set(state["pending_route_sections"]) == set(world.vantages)
 
     # A single-vantage scan materialises only that vantage's routes.
+    # Its plan reads addresses off the domain/site tables, so no DNS
+    # record is materialised either.
     repro.run_weekly_scan(world, world.config.reference_week)
     state = world.section_state()
     assert not state["attribution_stale"]
     assert "main-aachen" not in state["pending_route_sections"]
     assert len(state["pending_route_sections"]) == len(world.vantages) - 1
-    assert state["dns_records_materialised"] > 0
+    assert state["dns_records_materialised"] == 0
+
+    # Resolving one name materialises exactly that name's record.
+    domain = next(d for d in world.domains if d.site_index >= 0)
+    assert world.resolver.resolve(domain.name).a == world.sites[domain.site_index].ip
+    assert world.section_state()["dns_records_materialised"] == 1
 
     # Touching a route from another vantage materialises its section.
     site = world.sites[0]
