@@ -1,21 +1,28 @@
 """Fault-injection smoke: recovery must be invisible in the output.
 
 Not a perf benchmark — a CI robustness gate (docs/robustness.md).  It
-runs the same scale-1000 campaign three ways over the fork-pool
-executor and demands byte-identical results:
+runs the same scale-1000 campaign three ways over the shared-memory
+worker pool (``workers=4``) and demands byte-identical results:
 
-1. **clean** — no faults; must finish with zero shard retries (the
+1. **clean** — no faults; must finish with zero ticket retries (the
    supervised dispatch path behaving exactly like a blocking map);
-2. **faulted** — one worker crash plus one corrupted shard result
+2. **faulted** — one worker crash plus one corrupted ticket result
    buffer injected by the deterministic fault harness
-   (:mod:`repro.faults`); supervision must absorb both (retries > 0)
-   and the campaign, its analysis report and the shared clock must
-   equal the clean run's exactly;
+   (:mod:`repro.faults`); supervision must absorb both (exactly one
+   timeout, one failure and two retries) and the campaign, its
+   analysis report and the shared clock must equal the clean run's
+   exactly;
 3. **kill-and-resume** — the campaign is aborted after its second
    week, then resumed from its checkpoint directory on a fresh world;
    the resumed campaign must equal the clean run's exactly.
 
-Any divergence, missed fault or unexpected retry exits non-zero::
+Every leg must also leave zero live shared-memory segments.  The
+campaign prefetches all its weeks as one ticket per worker, so ticket
+``i`` covers site range ``i`` for every week; fault rules address
+tickets by that index (the rule's ``shard`` coordinate).
+
+Any divergence, missed fault, unexpected retry or leaked segment exits
+non-zero::
 
     PYTHONPATH=src python benchmarks/bench_fault_injection.py
 """
@@ -32,10 +39,15 @@ from repro.analysis.report import longitudinal_report
 from repro.faults import FaultPlan, InjectedFault
 from repro.pipeline.engine import ScanPhaseStats
 from repro.scanner.results import DomainObservation
+from repro.util import shm
 from repro.web.spec import WorldConfig
 
 SCALE = 1_000
-SHARDS = 4
+WORKERS = 4
+#: The ticket each fault targets: one ticket per worker, so any index
+#: below WORKERS exists; each covers every campaign week.
+CRASH_TICKET = 1
+CORRUPT_TICKET = 2
 POPULATIONS = ("cno", "toplist")
 SHARD_TIMEOUT = 10.0
 
@@ -48,6 +60,11 @@ def _check(ok: bool, label: str) -> None:
     print(f"{'ok' if ok else 'FAIL'}: {label}")
     if not ok:
         _failures.append(label)
+
+
+def _check_no_leaked_segments(leg: str) -> None:
+    leaked = shm.live_segments()
+    _check(leaked == [], f"{leg} leg left no live shared segments ({leaked})")
 
 
 def _build() -> "repro.World":
@@ -65,8 +82,7 @@ def _campaign(world, **kwargs):
         world,
         weeks=_weeks(world),
         populations=POPULATIONS,
-        shards=SHARDS,
-        shard_executor="process",
+        workers=WORKERS,
         phase_stats=stats,
         **kwargs,
     )
@@ -100,17 +116,18 @@ def main() -> int:
     clean_report = repr(longitudinal_report(clean))
     print(f"clean campaign: {len(clean.runs)} weeks, "
           f"{sum(len(r.observations) for r in clean.runs)} observations, "
-          f"{clean_stats.shard_retries} shard retries")
-    _check(clean_stats.shard_retries == 0, "clean run needed no shard retries")
+          f"{clean_stats.shard_retries} ticket retries")
+    _check(clean_stats.shard_retries == 0, "clean run needed no ticket retries")
+    _check_no_leaked_segments("clean")
 
     # ------------------------------------------------------------------
-    # Leg 1: worker crash + corrupted shard result buffer.
+    # Leg 1: worker crash + corrupted ticket result buffer.
     # ------------------------------------------------------------------
     weeks = _weeks(clean_world)
     plan = (
         FaultPlan(seed=11)
-        .crash_worker(shard=1, week=weeks[0])
-        .corrupt_shard_buffer(shard=2, week=weeks[2], mode="bitflip")
+        .crash_worker(shard=CRASH_TICKET, week=weeks[0])
+        .corrupt_shard_buffer(shard=CORRUPT_TICKET, week=weeks[2], mode="bitflip")
     )
     faulted_world = _build()
     faulted, faulted_stats = _campaign(faulted_world, fault_plan=plan,
@@ -119,9 +136,9 @@ def main() -> int:
           f"{faulted_stats.shard_timeouts} timeouts, "
           f"{faulted_stats.shard_failures} failures")
     _check(faulted_stats.shard_timeouts == 1,
-           "worker crash surfaced as exactly one shard timeout")
+           "worker crash surfaced as exactly one ticket timeout")
     _check(faulted_stats.shard_failures == 1,
-           "corrupted buffer surfaced as exactly one shard failure")
+           "corrupted buffer surfaced as exactly one ticket failure")
     _check(faulted_stats.shard_retries == 2,
            "both faults recovered with exactly one retry each")
     _check(_campaigns_equal(clean, faulted),
@@ -130,6 +147,7 @@ def main() -> int:
            "faulted campaign analysis report identical to clean run")
     _check(faulted_world.clock.now == clean_world.clock.now,
            "faulted campaign clock identical to clean run")
+    _check_no_leaked_segments("faulted")
 
     # ------------------------------------------------------------------
     # Leg 2: kill after the second week, resume from checkpoints.
@@ -158,7 +176,8 @@ def main() -> int:
         _check(resumed_world.clock.now == clean_world.clock.now,
                "resumed campaign clock identical to clean run")
         _check(resumed_stats.shard_retries == 0,
-               "resume needed no shard retries")
+               "resume needed no ticket retries")
+        _check_no_leaked_segments("kill-and-resume")
 
     if _failures:
         print(f"\n{len(_failures)} fault-injection check(s) failed",

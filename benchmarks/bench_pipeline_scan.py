@@ -20,8 +20,8 @@ Runs under the bench harness (pytest-benchmark) or standalone::
     PYTHONPATH=src python benchmarks/bench_pipeline_scan.py --smoke --check  # CI gate
 
 ``--smoke`` records ``smoke_*`` fields (scan, a store-backed default
-campaign, a fork-pool executor campaign **and** a shared-memory pool
-campaign, plus the cold/warm world-cache split); ``--check`` compares
+campaign **and** a shared-memory pool campaign, plus the cold/warm
+world-cache split); ``--check`` compares
 fresh smoke numbers against
 the committed baselines and exits non-zero on a >2x regression — or on
 an exchange-cache hit rate below the committed
@@ -391,36 +391,6 @@ def bench_campaign_sharded(benchmark):
     )
 
 
-def bench_campaign_forkpool(benchmark):
-    """The fork-pool executor (4 shards, codec-marshalled results)."""
-    world = _shared_world()
-    durations: list[float] = []
-    supervision = ScanPhaseStats()
-
-    def campaign():
-        result, elapsed = _timed(
-            lambda: repro.run_campaign(
-                world, shards=4, shard_executor="process", phase_stats=supervision
-            )
-        )
-        durations.append(elapsed)
-        return result
-
-    result = benchmark.pedantic(campaign, rounds=3, iterations=1)
-    assert result.runs
-    # A clean bench run must never exercise the retry path: retries mean
-    # workers are dying (or timing out) on healthy input.
-    assert supervision.shard_retries == 0
-    total_obs = sum(len(run.observations) for run in result.runs)
-    best = min(durations)
-    _record(
-        campaign_forkpool_seconds=best,
-        campaign_forkpool_shards=4,
-        campaign_forkpool_domains_per_second=round(total_obs / best),
-        campaign_shard_retries=supervision.shard_retries,
-    )
-
-
 def bench_campaign_shm_pool(benchmark):
     """The shared-memory persistent pool (2 workers, ticket dispatch).
 
@@ -506,23 +476,6 @@ def run_full() -> None:
     print(f"campaign (4 shards): {sharded_best:.3f}s "
           f"({round(sharded_obs / sharded_best)} domains/s)")
 
-    supervision = ScanPhaseStats()
-    forkpool, forkpool_best = _best_of(
-        lambda: repro.run_campaign(
-            world, shards=4, shard_executor="process", phase_stats=supervision
-        )
-    )
-    forkpool_obs = sum(len(r.observations) for r in forkpool.runs)
-    _record(
-        campaign_forkpool_seconds=forkpool_best,
-        campaign_forkpool_shards=4,
-        campaign_forkpool_domains_per_second=round(forkpool_obs / forkpool_best),
-        campaign_shard_retries=supervision.shard_retries,
-    )
-    print(f"campaign (4 shards, fork pool): {forkpool_best:.3f}s "
-          f"({round(forkpool_obs / forkpool_best)} domains/s, "
-          f"{supervision.shard_retries} shard retries)")
-
     pool_supervision = ScanPhaseStats()
     with ShmPoolScanEngine(world, workers=2) as pool_engine:
         shm_pool, shm_pool_best = _best_of(
@@ -546,17 +499,16 @@ def run_full() -> None:
 
 
 def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
-    """Scale-1000 smoke: weekly scan + store, fork-pool and shm-pool campaigns.
+    """Scale-1000 smoke: weekly scan + store and shm-pool campaigns.
 
     All cases are best-of-3 — the 2x CI gate compares single machines
     across runs, and a one-shot number would trip it on scheduler noise.
-    The fork-pool case drives the whole worker/codec path (fork, shard
-    codec buffers, cache-counter trailer) so marshalling regressions
-    fail the build, not just slow the full bench.  The shm-pool case
-    drives the shared-segment publication, zero-copy world decode and
-    ticket dispatch path end to end (a persistent engine, best-of-3 so
-    the warm steady state is what is gated) and additionally reports
-    leaked segments.  The world-cache split drives the snapshot
+    The shm-pool case drives the whole worker/codec path end to end —
+    shared-segment publication, zero-copy world decode, ticket
+    dispatch, codec result buffers and the cache-counter trailer (a
+    persistent engine, best-of-3 so the warm steady state is what is
+    gated) — so marshalling regressions fail the build, not just slow
+    the full bench, and additionally reports leaked segments.  The world-cache split drives the snapshot
     encode/persist/decode path the same way.
     """
     world_split = _world_cache_split(SMOKE_SCALE)
@@ -569,13 +521,6 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
     )
     campaign, campaign_best, _, cache_totals = _campaign_with_split(world)
     campaign_obs = sum(len(r.observations) for r in campaign.runs)
-    supervision = ScanPhaseStats()
-    forkpool, forkpool_best = _best_of(
-        lambda: repro.run_campaign(
-            world, shards=4, shard_executor="process", phase_stats=supervision
-        )
-    )
-    forkpool_obs = sum(len(r.observations) for r in forkpool.runs)
     pool_supervision = ScanPhaseStats()
     with ShmPoolScanEngine(world, workers=2) as pool_engine:
         shm_pool, shm_pool_best = _best_of(
@@ -646,9 +591,6 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
           f"({len(campaign.runs)} weeks, "
           f"{round(campaign_obs / campaign_best)} domains/s, cache hit rate "
           f"{cache_totals.exchange_cache_hit_rate:.3f})")
-    print(f"smoke fork-pool campaign (scale {SMOKE_SCALE}): {forkpool_best:.3f}s "
-          f"({round(forkpool_obs / forkpool_best)} domains/s, "
-          f"{supervision.shard_retries} shard retries)")
     print(f"smoke shm-pool campaign (scale {SMOKE_SCALE}): {shm_pool_best:.3f}s "
           f"({round(shm_pool_obs / shm_pool_best)} domains/s, "
           f"{pool_supervision.shard_retries} retries, "
@@ -680,10 +622,6 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
         "smoke_campaign_exchange_cache_hit_rate": round(
             cache_totals.exchange_cache_hit_rate, 4
         ),
-        "smoke_forkpool_seconds": forkpool_best,
-        "smoke_forkpool_shards": 4,
-        "smoke_forkpool_domains_per_second": round(forkpool_obs / forkpool_best),
-        "smoke_forkpool_retries": supervision.shard_retries,
         "smoke_shm_pool_seconds": shm_pool_best,
         "smoke_shm_pool_workers": 2,
         "smoke_shm_pool_domains_per_second": round(shm_pool_obs / shm_pool_best),
@@ -708,22 +646,22 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
 
     Without ``check`` the fresh numbers become the committed baselines
     in ``BENCH_pipeline.json`` — the **single canonical perf
-    artifact**.  With ``check`` the fresh scan, campaign, fork-pool
-    *and shm-pool* campaign times are compared against the committed
+    artifact**.  With ``check`` the fresh scan, campaign *and
+    shm-pool* campaign times are compared against the committed
     ``smoke_*_seconds`` baselines (a >2x regression on any fails), the
     campaign's exchange-cache hit rate must clear the committed
     :data:`CACHE_HIT_RATE_FLOOR`, warm world acquisition must be at
     least :data:`WORLD_CACHE_SPEEDUP_FLOOR` times faster than a cold
     build+snapshot, the telemetry layer must cost at most
-    :data:`OBS_OVERHEAD_MAX_PCT` extra campaign wall time, and both
-    pool campaigns must complete with **zero
+    :data:`OBS_OVERHEAD_MAX_PCT` extra campaign wall time, and the
+    shm-pool campaign must complete with **zero
     retries** — on healthy input the supervised dispatch path must
     behave exactly like the old blocking map, so any retry means
     workers are dying or the shard timeout is misconfigured.  The
     shm-pool leg additionally requires **zero leaked segments** and
     that the committed full-bench shm-pool throughput is at least the
     committed inline campaign throughput (the whole point of the
-    shared-memory pool: the fork path wins, it does not merely match).
+    shared-memory pool: the multi-process path wins, it does not merely match).
     The plugin legs require the explicit ``ecn``-plugin shm-pool
     campaign to cost at most :data:`PLUGIN_OVERHEAD_MAX_PCT` extra
     wall time over the default selection (interleaved paired delta,
@@ -746,7 +684,6 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
     for field, label in (
         ("smoke_scan_seconds", "smoke scan"),
         ("smoke_campaign_seconds", "smoke campaign"),
-        ("smoke_forkpool_seconds", "smoke fork-pool campaign"),
         ("smoke_shm_pool_seconds", "smoke shm-pool campaign"),
     ):
         baseline = committed.get(field)
@@ -768,13 +705,6 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
     if hit_rate < CACHE_HIT_RATE_FLOOR:
         print(f"FAIL: exchange-cache hit rate {hit_rate:.4f} below the "
               f"committed floor {CACHE_HIT_RATE_FLOOR:.2f}", file=sys.stderr)
-        status = 1
-    retries = metrics["smoke_forkpool_retries"]
-    print(f"smoke fork-pool shard retries: required 0, measured {retries}")
-    if retries != 0:
-        print(f"FAIL: clean fork-pool campaign needed {retries} shard "
-              "retries — workers are dying or timing out on healthy input",
-              file=sys.stderr)
         status = 1
     pool_retries = metrics["smoke_shm_pool_retries"]
     leaked = metrics["smoke_shm_pool_leaked_segments"]
@@ -802,7 +732,7 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
     if pool_rate < inline_rate:
         print(f"FAIL: committed shm-pool campaign throughput ({pool_rate} "
               f"domains/s) below the inline campaign ({inline_rate} "
-              "domains/s) — the fork-pool win regressed", file=sys.stderr)
+              "domains/s) — the shm-pool win regressed", file=sys.stderr)
         status = 1
     plugin_overhead = metrics["plugin_overhead_pct"]
     print(f"plugin-framework overhead: max {PLUGIN_OVERHEAD_MAX_PCT:.1f}%, "

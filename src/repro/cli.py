@@ -266,21 +266,13 @@ def _cmd_campaign(args) -> int:
     if args.ticket_sites is not None and args.workers is None:
         print("--ticket-sites requires --workers", file=sys.stderr)
         return 2
-    if args.shards is None and args.shard_executor != "inline":
-        print("--shard-executor requires --shards", file=sys.stderr)
-        return 2
     if args.shards is None and args.workers is None and args.checkpoint_dir is not None:
         print("--checkpoint-dir requires --shards or --workers", file=sys.stderr)
         return 2
-    if (
-        args.shards is None
-        and args.workers is None
-        and (args.shard_timeout is not None or args.shard_retries is not None)
+    if args.workers is None and (
+        args.shard_timeout is not None or args.shard_retries is not None
     ):
-        print(
-            "--shard-timeout/--shard-retries require --shards or --workers",
-            file=sys.stderr,
-        )
+        print("--shard-timeout/--shard-retries require --workers", file=sys.stderr)
         return 2
     if args.resume and args.checkpoint_dir is None:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
@@ -302,7 +294,6 @@ def _cmd_campaign(args) -> int:
         cadence_weeks=args.cadence,
         plugins=plugins,
         shards=args.shards,
-        shard_executor=args.shard_executor,
         workers=args.workers,
         ticket_sites=args.ticket_sites,
         backend=args.backend,
@@ -457,15 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="shard the site phase over deterministic per-site RNG substreams "
-             "(order-independent, parallelizable; roughly throughput-parity "
-             "with the serial engine at bench scales — see docs/architecture.md)",
-    )
-    campaign.add_argument(
-        "--shard-executor",
-        choices=("inline", "process"),
-        default="inline",
-        help="how shards execute: in-process or a fork pool",
+        help="shard the site phase in-process over deterministic per-site "
+             "RNG substreams (order-independent; about a third of the serial "
+             "engine's throughput at bench scales — use --workers for "
+             "parallel execution; see docs/architecture.md)",
     )
     campaign.add_argument(
         "--workers",
@@ -524,17 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-attempt deadline for supervised process shards "
+        help="per-attempt, per-week deadline for --workers tickets "
              "(default 60; hung or crashed workers are retried, then "
-             "re-executed inline)",
+             "re-executed inline; requires --workers)",
     )
     campaign.add_argument(
         "--shard-retries",
         type=int,
         default=None,
         metavar="N",
-        help="pool re-dispatches per failed shard before the inline "
-             "fallback (default 2)",
+        help="pool re-dispatches per failed ticket before the inline "
+             "fallback (default 2; requires --workers)",
     )
     _add_obs_args(campaign)
     campaign.set_defaults(func=_cmd_campaign)

@@ -1,12 +1,13 @@
 """Deterministic fault injection for the campaign runtime.
 
 A :class:`FaultPlan` is a seeded, declarative list of failures to
-inject into a run: crash a pool worker on a specific shard attempt,
-stall a shard past its supervision deadline, corrupt a shard result
+inject into a run: crash a pool worker on a specific ticket attempt,
+stall a ticket past its supervision deadline, corrupt a ticket result
 buffer or a checkpoint file, or abort a campaign between weeks (the
-kill-and-resume tests' "crash").  The runtime calls the plan's hooks at
+kill-and-resume tests' "crash").  A rule's ``shard`` coordinate is the
+shm pool's ticket index.  The runtime calls the plan's hooks at
 the few places real faults strike — the worker entry point
-(:func:`repro.pipeline.sharding._pool_run_shard`), the result
+(:func:`repro.pipeline.sharding._pool_run_ticket`), the result
 marshalling boundary, the checkpoint writer, the campaign week loop —
 and a plan with no matching rule is a no-op at every one of them.
 

@@ -6,7 +6,7 @@ onto a stack, ``end`` pops, so the campaign → week → phase →
 shard/ticket → merge hierarchy falls out of the call structure without
 anyone threading parent ids around.
 
-Cross-process spans: workers (fork-pool shards and shm-pool tickets)
+Cross-process spans: shm-pool workers (one span per ticket-week)
 record their own tiny tracer, serialise it with
 :func:`encode_obs_blob` — varints plus the shard codec's deduplicating
 string table, riding inside the CRC-checked ``ECNSTOR4`` frame — and

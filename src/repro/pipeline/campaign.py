@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
-from repro.pipeline.engine import ShardResultMissing, SiteResultCache
+from repro.pipeline.engine import ShardResultMissing
 from repro.pipeline.runs import WeeklyRun
 from repro.util.weeks import Week
 from repro.web.world import World
@@ -94,9 +94,7 @@ def run_campaign(
     populations: tuple[str, ...] = ("cno",),
     run_tracebox: bool = False,
     plugins: tuple[str, ...] | None = None,
-    reuse_site_results: bool = False,
     shards: int | None = None,
-    shard_executor: str = "inline",
     workers: int | None = None,
     ticket_sites: int | None = None,
     backend: str = "store",
@@ -116,17 +114,14 @@ def run_campaign(
     By default samples every ``cadence_weeks`` from the campaign start
     to the reference week — the resolution Figures 3/4/8 need.  All runs
     share one :class:`~repro.pipeline.engine.ScanEngine` plan, so the
-    per-domain attribution tables are built once for the whole series;
-    ``reuse_site_results`` additionally skips re-scanning sites whose
-    behaviour epoch has not changed (epoch-accurate, not draw-accurate —
-    see :meth:`ScanEngine.run_weeks`).
+    per-domain attribution tables are built once for the whole series.
 
     ``shards`` switches the site phase to a
     :class:`~repro.pipeline.sharding.ShardedScanEngine` with that many
-    shards (``shard_executor`` picks ``"inline"`` or ``"process"``).
-    Sharded campaigns use deterministic per-site RNG substreams rather
-    than the shared reference stream — reproducible and shard-count
-    independent, but a different realisation of the stochastic draws
+    in-process shards.  Sharded campaigns use deterministic per-site
+    RNG substreams rather than the shared reference stream —
+    reproducible and shard-count independent, but a different
+    realisation of the stochastic draws
     (docs/architecture.md#sharded-site-phase).
 
     ``backend="store"`` (the default) records runs into the columnar
@@ -160,11 +155,11 @@ def run_campaign(
     weeks are byte-identical to executed ones (records fill in the same
     order, the clock sums the same floats), so an interrupted campaign
     resumes to exactly the uninterrupted result.  Checkpointing
-    requires ``shards`` — only per-site RNG substreams survive skipping
-    weeks; the shared reference stream's position would diverge — and
-    is incompatible with ``reuse_site_results`` / ``run_tracebox``
-    (their effects live outside the checkpointed entries).  Shard count
-    and executor may differ between the original run and the resume.
+    requires ``shards`` or ``workers`` — only per-site RNG substreams
+    survive skipping weeks; the shared reference stream's position
+    would diverge — and is incompatible with ``run_tracebox`` (trace
+    results live outside the checkpointed entries).  Shard count and
+    executor may differ between the original run and the resume.
 
     ``workers`` switches the site phase to a
     :class:`~repro.pipeline.sharding.ShmPoolScanEngine`: the encoded
@@ -174,7 +169,7 @@ def run_campaign(
     tickets so the whole series costs one dispatch round trip per
     worker (``ticket_sites`` overrides the site-range size).  Mutually
     exclusive with ``shards``; same per-site RNG semantics, same
-    supervision, same checkpoint compatibility — a campaign
+    checkpoint compatibility — a campaign
     checkpointed under ``shards`` resumes under ``workers`` and vice
     versa.
 
@@ -183,9 +178,10 @@ def run_campaign(
     repeated campaigns); it is mutually exclusive with the
     engine-construction parameters above.
 
-    ``shard_timeout`` / ``max_shard_retries`` tune the sharded engine's
-    worker supervision (docs/robustness.md); ``fault_plan`` injects
-    deterministic faults (tests only, :mod:`repro.faults`).
+    ``shard_timeout`` / ``max_shard_retries`` tune the pool's worker
+    supervision (docs/robustness.md) and therefore require ``workers``;
+    ``fault_plan`` injects deterministic faults (tests only,
+    :mod:`repro.faults`).
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) instruments the run:
     campaign → week → phase spans on the registry's tracer, worker
@@ -212,7 +208,7 @@ def run_campaign(
     if shards is not None and workers is not None:
         raise ValueError(
             "shards and workers are mutually exclusive: shards=N selects the "
-            "per-dispatch sharded engine, workers=N the shared-memory pool"
+            "in-process sharded engine, workers=N the shared-memory pool"
         )
     if ticket_sites is not None and workers is None:
         raise ValueError(
@@ -234,17 +230,12 @@ def run_campaign(
         if (
             shards is None
             and workers is None
-            and not isinstance(engine, ShardedScanEngine)
+            and not isinstance(engine, (ShardedScanEngine, ShmPoolScanEngine))
         ):
             raise ValueError(
                 "checkpointing requires a sharded campaign (shards=N or "
                 "workers=N): only per-site RNG substreams are valid across "
                 "resumed weeks"
-            )
-        if reuse_site_results:
-            raise ValueError(
-                "checkpointing is incompatible with reuse_site_results: "
-                "cross-week reuse state lives outside the checkpointed entries"
             )
         if run_tracebox:
             raise ValueError(
@@ -256,15 +247,11 @@ def run_campaign(
                 "checkpointing is incompatible with the trace plugin: trace "
                 "results are not part of the checkpointed site phase"
             )
-    if (
-        shards is None
-        and workers is None
-        and engine is None
-        and (shard_timeout is not None or max_shard_retries is not None)
-    ):
+    if workers is None and (shard_timeout is not None or max_shard_retries is not None):
         raise ValueError(
-            "shard_timeout/max_shard_retries have no effect without shards; "
-            "pass shards=N to run a supervised sharded site phase"
+            "shard_timeout/max_shard_retries have no effect without workers: "
+            "only the shared-memory pool dispatches supervised work; pass "
+            "workers=N"
         )
     if weeks is None:
         weeks = campaign_weeks(world, cadence_weeks)
@@ -277,11 +264,6 @@ def run_campaign(
     if engine is not None:
         pass  # caller-built engine: caller configures and closes it
     elif workers is not None:
-        if shard_executor != "inline":
-            raise ValueError(
-                f"shard_executor={shard_executor!r} applies to shards=N; "
-                "workers=N always runs the shared-memory process pool"
-            )
         engine = ShmPoolScanEngine(
             world,
             workers=workers,
@@ -291,11 +273,6 @@ def run_campaign(
             **supervision,
         )
     elif shards is None:
-        if shard_executor != "inline":
-            raise ValueError(
-                f"shard_executor={shard_executor!r} has no effect without shards; "
-                "pass shards=N to run a sharded site phase"
-            )
         if exchange_cache:
             engine = world.scan_engine()
         else:
@@ -303,14 +280,7 @@ def run_campaign(
 
             engine = ScanEngine(world, exchange_cache=False)
     else:
-        engine = ShardedScanEngine(
-            world,
-            shards=shards,
-            executor=shard_executor,
-            exchange_cache=exchange_cache,
-            fault_plan=fault_plan,
-            **supervision,
-        )
+        engine = ShardedScanEngine(world, shards=shards, exchange_cache=exchange_cache)
     checkpointer = None
     if checkpoint_dir is not None:
         from repro.pipeline.checkpoint import (
@@ -350,7 +320,6 @@ def run_campaign(
                 compute_weeks, vantage_id, populations=populations,
                 plugins=plugin_names,
             )
-    reuse = SiteResultCache() if reuse_site_results else None
     campaign = Campaign()
     # Instrumentation setup.  phase_stats doubles as the registry
     # source: when the caller did not pass one, an internal split
@@ -368,7 +337,7 @@ def run_campaign(
 
             stats = ScanPhaseStats()
         stats_base = replace(stats)
-        if isinstance(engine, ShardedScanEngine):
+        if isinstance(engine, ShmPoolScanEngine):
             supervision_base = engine.supervision.snapshot()
         engine.telemetry = telemetry
         tracer = telemetry.tracer
@@ -391,7 +360,6 @@ def run_campaign(
             week_kwargs = dict(
                 populations=populations,
                 plugins=plugin_names,
-                reuse=reuse,
                 backend=backend,
                 phase_stats=stats,
             )
@@ -433,7 +401,7 @@ def run_campaign(
                 cache = engine.exchange_cache
                 sup = (
                     engine.supervision
-                    if isinstance(engine, ShardedScanEngine)
+                    if isinstance(engine, ShmPoolScanEngine)
                     else None
                 )
                 progress.week_done(
@@ -469,10 +437,9 @@ def run_campaign(
             tracer.end(campaign_span)
         engine.telemetry = prior_telemetry
         # Caller-supplied engines outlive the campaign (warm pools are
-        # the point of passing one in); self-built sharded/pool engines
-        # tear down here — on success, injected aborts and crashed
-        # workers alike, which is what keeps shared segments from
-        # leaking.
-        if owns_engine and isinstance(engine, ShardedScanEngine):
+        # the point of passing one in); a self-built pool engine tears
+        # down here — on success, injected aborts and crashed workers
+        # alike, which is what keeps shared segments from leaking.
+        if owns_engine and isinstance(engine, ShmPoolScanEngine):
             engine.close()
     return campaign

@@ -33,8 +33,10 @@ config, route epoch, response) the recorded result and clock trajectory
 replay byte-identically instead of re-simulating the connection.
 
 :meth:`ScanEngine.site_events` exposes the ordered site phase as data.
-:class:`~repro.pipeline.sharding.ShardedScanEngine` partitions it across
-workers; the ``site_rng`` mode below is what makes that sound:
+:class:`~repro.pipeline.sharding.ShardedScanEngine` partitions it into
+inline shards and :class:`~repro.pipeline.sharding.ShmPoolScanEngine`
+across pool workers; the ``site_rng`` mode below is what makes that
+sound:
 
 * ``"shared"`` (default) — exchanges draw from the world's one
   sequential network RNG stream and advance the one shared clock, in
@@ -77,7 +79,6 @@ from repro.plugins.registry import (
     resolve_plugins,
     stream_tag,
 )
-from repro.quic.connection import QuicConnectionResult
 from repro.scanner.quic_scan import QuicScanConfig, quic_client_config, scan_site_quic
 from repro.scanner.results import DomainObservation
 from repro.scanner.tcp_scan import TcpScanConfig, scan_site_tcp, tcp_client_config
@@ -216,12 +217,12 @@ class ScanPhaseStats:
     (:mod:`repro.exchange`) over the covered site phases: ``hits``
     replayed a cached outcome, ``misses`` ran fresh and populated the
     cache, ``uncacheable`` ran fresh because the path may draw
-    randomness.  Fork-pool runs merge worker-side counters in before
+    randomness.  Shm-pool runs merge worker-side counters in before
     the site phase ends, so the split is executor-independent.
 
-    The ``shard_*`` counters account supervised sharded execution
-    (:class:`~repro.pipeline.sharding.ShardedScanEngine`):
-    ``shard_timeouts`` shard attempts that exceeded the deadline (hung
+    The ``shard_*`` counters account supervised pool execution
+    (:class:`~repro.pipeline.sharding.ShmPoolScanEngine`):
+    ``shard_timeouts`` ticket attempts that exceeded the deadline (hung
     or dead worker), ``shard_failures`` attempts that raised (worker
     crash, corrupt result buffer), ``shard_retries`` recovery
     executions — pool re-dispatches plus the final inline fallback.  A
@@ -290,19 +291,6 @@ class ScanPhaseStats:
         self.shard_failures += other.shard_failures
 
 
-@dataclass
-class SiteResultCache:
-    """Cross-week QUIC result reuse (opt-in, see :meth:`ScanEngine.run_weeks`).
-
-    Maps site index to (behaviour epoch key, result).  Reusing a result
-    skips the exchange — and therefore the RNG draws it would have made —
-    so reuse trades bit-identical loss realisations for speed; only the
-    epoch-stable behaviour is guaranteed to match.
-    """
-
-    quic: dict[int, tuple[object, QuicConnectionResult]] = field(default_factory=dict)
-
-
 class ScanEngine:
     """Runs weekly scans site-first against one :class:`World`.
 
@@ -323,8 +311,8 @@ class ScanEngine:
     """
 
     #: The ``site_rng`` mode :meth:`run_week` resolves ``None`` to.
-    #: Sharded engines override this with ``"per-site"`` — shared-stream
-    #: semantics cannot be partitioned.
+    #: Sharded and pool engines override this with ``"per-site"`` —
+    #: shared-stream semantics cannot be partitioned.
     default_site_rng = "shared"
 
     def __init__(self, world: "World", *, exchange_cache: bool = True):
@@ -591,53 +579,6 @@ class ScanEngine:
         )
         return events
 
-    # ------------------------------------------------------------------
-    # Cross-week reuse
-    # ------------------------------------------------------------------
-    def behaviour_epoch(
-        self, site: "Site", week: Week, vantage_id: str, ip_version: int = 4
-    ) -> tuple:
-        """Key identifying everything that shapes a site's scan outcome.
-
-        Two weeks with equal epochs present the same stack behaviour over
-        the same route under the same policy; only stochastic path
-        effects (loss draws) can differ between their exchanges.
-        """
-        world = self.world
-        policy = world.site_policy(site, vantage_id)
-        behavior = None
-        if policy.reachable and policy.quic_profile is not None:
-            behavior = world.stack_registry.behavior(policy.quic_profile, week)
-        route_key = site.route_key + ("/v6" if ip_version == 6 else "")
-        try:
-            template = world.network.template_for(vantage_id, route_key, week)
-        except KeyError:
-            template = None
-        return (policy, behavior, id(template))
-
-    def _site_quic(
-        self,
-        site: "Site",
-        week: Week,
-        vantage_id: str,
-        config: QuicScanConfig,
-        authority_domain: str,
-        reuse: SiteResultCache | None,
-        rng: RngStream | None = None,
-        clock: Clock | None = None,
-    ) -> QuicConnectionResult:
-        if reuse is not None:
-            epoch = self.behaviour_epoch(site, week, vantage_id, config.ip_version)
-            cached = reuse.quic.get(site.index)
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
-        result = self._exchange(
-            QUIC_EVENT, site, week, vantage_id, config, authority_domain, rng, clock
-        )
-        if reuse is not None:
-            reuse.quic[site.index] = (epoch, result)
-        return result
-
     def _exchange(
         self,
         kind: int,
@@ -787,7 +728,6 @@ class ScanEngine:
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
         records: dict,
-        reuse: SiteResultCache | None,
         rng: RngStream | None = None,
         clock: Clock | None = None,
         plugin_rows: dict | None = None,
@@ -820,15 +760,15 @@ class ScanEngine:
             return
         record = ensure_site_record(records, event.site_index, event.address)
         if event.kind == QUIC_EVENT:
-            record.quic = self._site_quic(
+            record.quic = self._exchange(
+                QUIC_EVENT,
                 site,
                 week,
                 vantage_id,
                 quic_config,
                 event.authority_domain,
-                reuse,
-                rng=rng,
-                clock=clock,
+                rng,
+                clock,
             )
         else:
             record.tcp = self._exchange(
@@ -851,7 +791,6 @@ class ScanEngine:
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
         records: dict,
-        reuse: SiteResultCache | None,
         site_rng: str,
         entry_sink: list | None = None,
         replay: dict[tuple[int, int], tuple[object, float]] | None = None,
@@ -860,7 +799,7 @@ class ScanEngine:
         plugins: tuple[str, ...] | None = None,
         plugin_rows: dict | None = None,
     ) -> None:
-        """Run all site events (serially; overridden by the sharded engine).
+        """Run all site events (serially; overridden by the sharded/pool engines).
 
         ``entry_sink``, when given, collects ``(site_index, kind,
         result, elapsed)`` entries in event order — the unit campaign
@@ -886,7 +825,7 @@ class ScanEngine:
             for event in events:
                 self._run_event(
                     event, week, vantage_id, quic_config, tcp_config, records,
-                    reuse, plugin_rows=plugin_rows,
+                    plugin_rows=plugin_rows,
                 )
             return
         if site_rng != "per-site":
@@ -907,7 +846,7 @@ class ScanEngine:
         for event in events:
             elapsed = self._run_event_per_site(
                 event, week, vantage_id, ip_version, quic_config, tcp_config,
-                records, reuse, plugin_rows=plugin_rows,
+                records, plugin_rows=plugin_rows,
             )
             elapsed_total += elapsed
             if entry_sink is not None:
@@ -980,7 +919,6 @@ class ScanEngine:
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
         records: dict,
-        reuse: SiteResultCache | None = None,
         plugin_rows: dict | None = None,
     ) -> float:
         """One event on its own substream + clock; returns elapsed time.
@@ -997,7 +935,6 @@ class ScanEngine:
             quic_config,
             tcp_config,
             records,
-            reuse,
             rng=self.event_stream(event, week, vantage_id, ip_version),
             clock=clock,
             plugin_rows=plugin_rows,
@@ -1016,7 +953,6 @@ class ScanEngine:
         tcp_config: TcpScanConfig | None = None,
         run_tracebox: bool = False,
         plugins: Sequence[str] | None = None,
-        reuse: SiteResultCache | None = None,
         site_rng: str | None = None,
         backend: str = "objects",
         phase_stats: ScanPhaseStats | None = None,
@@ -1115,7 +1051,6 @@ class ScanEngine:
             quic_config,
             tcp_config,
             records,
-            reuse,
             site_rng,
             entry_sink,
             replay,
@@ -1276,48 +1211,3 @@ class ScanEngine:
                 )
             if tracer is not None:
                 tracer.end(span)
-
-    def run_weeks(
-        self,
-        weeks: Sequence[Week],
-        vantage_id: str = "main-aachen",
-        *,
-        ip_version: int = 4,
-        populations: Sequence[str] = ("cno", "toplist"),
-        include_tcp: bool = False,
-        quic_config: QuicScanConfig | None = None,
-        tcp_config: TcpScanConfig | None = None,
-        run_tracebox: bool = False,
-        plugins: Sequence[str] | None = None,
-        reuse_site_results: bool = False,
-        site_rng: str | None = None,
-        backend: str = "objects",
-        phase_stats: ScanPhaseStats | None = None,
-    ) -> list[WeeklyRun]:
-        """A run per week, sharing one plan (and optionally site results).
-
-        With ``reuse_site_results`` a site whose behaviour epoch is
-        unchanged since its last exchange keeps that result instead of
-        rescanning — the campaign-scale shortcut §4.4 justifies.  Loss is
-        stochastic, so reused weeks are epoch-accurate, not draw-accurate;
-        leave it off when bit-identical reference semantics matter.
-        """
-        reuse = SiteResultCache() if reuse_site_results else None
-        return [
-            self.run_week(
-                week,
-                vantage_id,
-                ip_version=ip_version,
-                populations=populations,
-                include_tcp=include_tcp,
-                quic_config=quic_config,
-                tcp_config=tcp_config,
-                run_tracebox=run_tracebox,
-                plugins=plugins,
-                reuse=reuse,
-                site_rng=site_rng,
-                backend=backend,
-                phase_stats=phase_stats,
-            )
-            for week in weeks
-        ]

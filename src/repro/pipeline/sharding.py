@@ -1,56 +1,46 @@
-"""Sharded site-phase execution (the PR-1 ``site_events`` hook, cashed in).
+"""Partitioned site-phase execution: inline shards and the shm pool.
 
 :class:`ShardedScanEngine` partitions the ordered site phase of a weekly
-run into ``shards`` groups and executes each group independently —
-either in-process (``executor="inline"``) or on a pool of forked worker
-processes (``executor="process"``).  Attribution, tracebox and analysis
-stay central: workers only ever produce per-site scan records.
+run into ``shards`` groups and executes each group independently,
+in-process.  :class:`ShmPoolScanEngine` is the one multi-process
+executor: the encoded world snapshot is published **once** to a
+shared-memory segment (:mod:`repro.util.shm`), a persistent pool of
+forked workers decodes it zero-copy at startup, and work travels as
+tiny (site-range, week-range) :class:`Ticket` descriptors — the
+long-lived worker/queue architecture PATHspider uses for its
+path-transparency scans, applied to the weekly site phase.
+Attribution, tracebox and analysis stay central: shards and workers
+only ever produce per-site scan records.
 
 Determinism is the whole design.  Every site event draws from an RNG
 substream seeded by (world seed, week, vantage, family, site, kind) —
 :meth:`ScanEngine.event_stream` — and runs against a private virtual
 clock, so no exchange can observe another's draws or timing.  As a
 consequence the merged output is *identical* for any shard count, any
-worker permutation, and both executors, and equals the serial
-:class:`~repro.pipeline.engine.ScanEngine` run in ``site_rng="per-site"``
-mode (golden-tested in ``tests/test_pipeline_sharding.py``).  Relative
-to the default ``"shared"`` mode the per-site substreams realise a
-different (equally valid) sequence of stochastic loss draws; epoch-level
-behaviour — what the paper's tables and figures aggregate — is the same.
+worker count or ticket size, and any execution order, and equals the
+serial :class:`~repro.pipeline.engine.ScanEngine` run in
+``site_rng="per-site"`` mode (golden-tested in
+``tests/test_pipeline_sharding.py`` and ``tests/test_shm_pool.py``).
+Relative to the default ``"shared"`` mode the per-site substreams
+realise a different (equally valid) sequence of stochastic loss draws;
+epoch-level behaviour — what the paper's tables and figures aggregate
+— is the same.
 
-The process executor forks workers (POSIX only), so the world is
-inherited by reference snapshot instead of being pickled; only the
-per-shard event lists travel to workers, and results travel back as
-**one codec buffer per shard** (:mod:`repro.store.codec`) — flat
-varint-packed bytes instead of a pickled object list, decoded centrally
-before the merge.  Lazy world sections the shard needs (the vantage's
-routes) are materialised before the pool forks; mutate the world only
-before the first sharded run, and call :meth:`close` (or use the engine
-as a context manager) when done.
-
-Process shards are **supervised** (docs/robustness.md): every shard is
+Pool tickets are **supervised** (docs/robustness.md): every ticket is
 dispatched asynchronously with a per-attempt deadline
-(``shard_timeout``).  A shard whose result does not arrive in time —
-the worker hung, or died and took the task with it — or whose result
-buffer fails the codec checksum, or whose attempt raised, is
-re-dispatched up to ``max_shard_retries`` times with exponential
-backoff; a shard that exhausts its retries is re-executed *inline* in
-the parent, so a wedged pool can delay a run but never lose results.
-Determinism makes this sound: a retried shard produces byte-identical
-entries, so recovered runs equal clean runs exactly.  The central merge
-validates coverage before touching any record and raises the typed
+(``shard_timeout`` per week it covers).  A ticket whose result does not
+arrive in time — the worker hung, or died and took the task with it —
+or whose result buffer fails the codec checksum, or whose attempt
+raised, is re-dispatched up to ``max_shard_retries`` times with
+exponential backoff; a ticket that exhausts its retries is re-executed
+*inline* in the parent, so a wedged pool can delay a run but never lose
+results.  Determinism makes this sound: a retried ticket produces
+byte-identical entries, so recovered runs equal clean runs exactly.
+Results cross the process boundary as **one codec buffer per
+ticket-week** (:mod:`repro.store.codec`), and the central merge
+validates coverage before touching any record, raising the typed
 :class:`~repro.pipeline.engine.ShardResultMissing` on a gap instead of
 a bare ``KeyError``.
-
-:class:`ShmPoolScanEngine` is the campaign-scale evolution of the
-process executor: the encoded world snapshot is published **once** to a
-shared-memory segment (:mod:`repro.util.shm`), a persistent pool of
-workers decodes it zero-copy at startup, and work travels as tiny
-(site-range, week-range) :class:`Ticket` descriptors instead of pickled
-event lists — the long-lived worker/queue architecture PATHspider uses
-for its path-transparency scans, applied to the weekly site phase.  The
-same supervision, the same central merge, the same byte-identical
-guarantees (golden-tested in ``tests/test_shm_pool.py``).
 """
 
 from __future__ import annotations
@@ -67,7 +57,6 @@ from repro.pipeline.engine import (
     TCP_EVENT,
     ScanEngine,
     SiteEvent,
-    SiteResultCache,
 )
 from repro.plugins.registry import DEFAULT_PLUGINS, resolve_plugins
 from repro.scanner.quic_scan import QuicScanConfig
@@ -79,11 +68,6 @@ from repro.store.codec import (
 )
 from repro.util.weeks import Week
 
-#: Engine inherited by forked pool workers (fork snapshots this module's
-#: globals, so nothing is pickled; see _ensure_pool).
-_WORKER_ENGINE: "ShardedScanEngine | None" = None
-
-
 def default_shards() -> int:
     """Shard count used when none is given: the machine's CPU count,
     capped — site phases at common scales do not amortise more workers."""
@@ -92,7 +76,7 @@ def default_shards() -> int:
 
 @dataclass
 class SupervisionStats:
-    """Lifetime shard-supervision counters of one sharded engine.
+    """Lifetime ticket-supervision counters of one shm-pool engine.
 
     ``timeouts`` counts attempts whose result missed the deadline (hung
     or dead worker), ``failures`` attempts that raised or returned a
@@ -127,7 +111,7 @@ def _ingest_obs(telemetry, blob: bytes) -> None:
 
     Shipped spans re-parent under the tracer's *current* span — the
     site-phase span of the week being merged — so every worker
-    shard/ticket span hangs off the week that dispatched it.  Counter
+    ticket span hangs off the week that dispatched it.  Counter
     deltas (``worker.*``) accumulate into the registry.
     """
     spans, deltas = decode_obs_blob(blob)
@@ -156,17 +140,15 @@ def _worker_obs_blob(tracer: Tracer, cache_delta: tuple[int, int, int]) -> bytes
 
 
 class ShardedScanEngine(ScanEngine):
-    """A :class:`ScanEngine` whose site phase runs in parallel shards.
+    """A :class:`ScanEngine` whose site phase runs in partitioned shards.
 
-    Drop-in for ``ScanEngine``: ``run_week`` / ``run_weeks`` /
-    ``site_events`` keep their signatures, and scan plans are shared
-    with the world's serial engine so campaigns pay planning once no
-    matter which engine executes them.  ``site_rng`` defaults to
-    ``"per-site"`` (:attr:`default_site_rng`) — shared-stream semantics
-    cannot be partitioned.  ``run_week`` folds this engine's
-    shard-supervision deltas (retries, timeouts, failures) into the
-    caller's ``phase_stats``; the base engine does that whenever a
-    ``supervision`` attribute exists.
+    Drop-in for ``ScanEngine``: ``run_week`` / ``site_events`` keep
+    their signatures, and scan plans are shared with the world's serial
+    engine so campaigns pay planning once no matter which engine
+    executes them.  ``site_rng`` defaults to ``"per-site"``
+    (:attr:`default_site_rng`) — shared-stream semantics cannot be
+    partitioned.  Shards execute in-process, one after another; the
+    multi-process executor is :class:`ShmPoolScanEngine`.
     """
 
     default_site_rng = "per-site"
@@ -176,55 +158,33 @@ class ShardedScanEngine(ScanEngine):
         world,
         *,
         shards: int | None = None,
-        executor: str = "inline",
         shard_order: Sequence[int] | None = None,
         exchange_cache: bool = True,
-        shard_timeout: float = 60.0,
-        max_shard_retries: int = 2,
-        retry_backoff: float = 0.05,
-        fault_plan=None,
     ):
         super().__init__(world, exchange_cache=exchange_cache)
-        if executor not in ("inline", "process"):
-            raise ValueError(f"unknown executor: {executor!r}")
         self.shards = shards if shards is not None else default_shards()
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive")
-        if max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be >= 0")
-        self.executor = executor
-        #: Test seam: the order shards are *executed* in (inline mode).
-        #: Results are order-independent; the golden tests permute this.
+        #: Test seam: the order shards are *executed* in.  Results are
+        #: order-independent; the golden tests permute this.
         self.shard_order = shard_order
-        #: Per-attempt result deadline for process shards (seconds).
-        self.shard_timeout = shard_timeout
-        #: Pool re-dispatches per shard before the inline fallback.
-        self.max_shard_retries = max_shard_retries
-        #: Base of the exponential re-dispatch backoff (seconds).
-        self.retry_backoff = retry_backoff
-        #: Deterministic fault-injection hooks
-        #: (:class:`repro.faults.FaultPlan`); ``None`` in production.
-        self.fault_plan = fault_plan
-        #: Lifetime supervision counters (``run_week`` folds per-week
-        #: deltas into the caller's :class:`ScanPhaseStats`).
-        self.supervision = SupervisionStats()
         self._plans = world.scan_engine()._plans  # share plan cache
-        self._pool = None
 
     # ------------------------------------------------------------------
     def partition(self, events: list[SiteEvent]) -> list[list[SiteEvent]]:
         """Stable partition of the site phase: shard = site_index mod N.
 
         Keeping a site's QUIC and TCP events on one shard preserves any
-        per-site locality (server construction, policy memos) a worker
+        per-site locality (server construction, policy memos) a shard
         builds up, and the assignment never depends on event order.
         """
         groups: list[list[SiteEvent]] = [[] for _ in range(self.shards)]
         for event in events:
             groups[event.site_index % self.shards].append(event)
         return groups
+
+    def _shard_of(self, site_index: int) -> int:
+        return site_index % self.shards
 
     def _execute_site_phase(
         self,
@@ -235,7 +195,6 @@ class ShardedScanEngine(ScanEngine):
         quic_config,
         tcp_config,
         records,
-        reuse,
         site_rng,
         entry_sink=None,
         replay=None,
@@ -252,228 +211,42 @@ class ShardedScanEngine(ScanEngine):
             )
         if replay is not None:
             self._apply_replay(
-                events,
-                replay,
-                records,
-                entry_sink=entry_sink,
-                shard_of=lambda site_index: site_index % self.shards,
-                plugin_rows=plugin_rows,
+                events, replay, records, entry_sink=entry_sink,
+                shard_of=self._shard_of, plugin_rows=plugin_rows,
             )
             return
-        if reuse is not None and self.executor == "process":
-            raise ValueError(
-                "reuse_site_results needs a cache shared across weeks; "
-                "process workers cannot provide one deterministically — "
-                "use executor='inline'"
-            )
         shards = self.partition(events)
         order = self.shard_order if self.shard_order is not None else range(len(shards))
         merged: dict[tuple[int, int], tuple[object, float]] = {}
-        if self.executor == "inline":
-            telemetry = self.telemetry
-            tracer = telemetry.tracer if telemetry is not None else None
-            for shard_index in order:
-                span = (
-                    tracer.begin(
-                        "shard", "worker",
-                        shard=shard_index, week=str(week),
-                        events=len(shards[shard_index]),
-                    )
-                    if tracer is not None
-                    else None
+        telemetry = self.telemetry
+        tracer = telemetry.tracer if telemetry is not None else None
+        for shard_index in order:
+            span = (
+                tracer.begin(
+                    "shard", "worker",
+                    shard=shard_index, week=str(week),
+                    events=len(shards[shard_index]),
                 )
-                for entry in self._run_shard(
-                    shards[shard_index],
-                    week,
-                    vantage_id,
-                    ip_version,
-                    quic_config,
-                    tcp_config,
-                    reuse,
-                ):
-                    merged[(entry[0], entry[1])] = (entry[2], entry[3])
-                if tracer is not None:
-                    tracer.end(span)
-        else:
-            self._execute_shards_supervised(
-                shards, order, week, vantage_id, ip_version,
-                quic_config, tcp_config, merged,
+                if tracer is not None
+                else None
             )
-
+            for site_index, kind, result, elapsed in _execute_entries(
+                self, shards[shard_index], week, vantage_id, ip_version,
+                quic_config, tcp_config,
+            ):
+                merged[(site_index, kind)] = (result, elapsed)
+            if tracer is not None:
+                tracer.end(span)
         # Merge centrally, in the serial event order: records fill in the
         # same sequence and the clock sums the same floats in the same
         # order as the serial per-site engine.  Coverage is validated
         # first — a gap raises ShardResultMissing naming the absent
         # (site, kind) pairs and their shard, and leaves records intact.
         self._apply_replay(
-            events,
-            merged,
-            records,
-            entry_sink=entry_sink,
-            source=f"sharded merge ({self.executor}, {self.shards} shards)",
-            shard_of=lambda site_index: site_index % self.shards,
-            plugin_rows=plugin_rows,
+            events, merged, records, entry_sink=entry_sink,
+            source=f"sharded merge ({self.shards} shards)",
+            shard_of=self._shard_of, plugin_rows=plugin_rows,
         )
-
-    # ------------------------------------------------------------------
-    # Supervised process execution
-    # ------------------------------------------------------------------
-    def _execute_shards_supervised(
-        self,
-        shards: list[list[SiteEvent]],
-        order,
-        week: Week,
-        vantage_id: str,
-        ip_version: int,
-        quic_config: QuicScanConfig,
-        tcp_config: TcpScanConfig,
-        merged: dict[tuple[int, int], tuple[object, float]],
-    ) -> None:
-        """Dispatch every shard asynchronously; collect under supervision.
-
-        Each attempt has ``shard_timeout`` seconds to deliver a buffer
-        that decodes cleanly.  A timeout (hung worker, or a dead one —
-        the pool repopulates its processes but the lost task never
-        completes), a corrupt buffer, or a raising attempt triggers a
-        backed-off re-dispatch, up to ``max_shard_retries`` per shard;
-        after that the shard re-executes inline in the parent.  Results
-        of abandoned attempts that straggle in later are never read.
-        Retried shards are byte-identical to first-try shards (per-site
-        RNG substreams), so recovery never changes the merged output.
-        """
-        # Materialise this vantage's lazy route section before the
-        # pool (possibly) forks: workers inherit the world by
-        # reference snapshot, so a section built pre-fork is shared,
-        # one built post-fork would be rebuilt per worker.
-        self.world.ensure_routes(vantage_id)
-        pool = self._ensure_pool()
-
-        def dispatch(shard_index: int, attempt: int):
-            # Workers marshal each shard as ONE codec buffer (see
-            # repro.store.codec) instead of a pickled object list —
-            # results cross the process boundary as flat bytes, with the
-            # worker's exchange-cache counters in the buffer trailer.
-            payload = (
-                shards[shard_index], week, vantage_id, ip_version,
-                quic_config, tcp_config, shard_index, attempt,
-            )
-            return pool.apply_async(_pool_run_shard, (payload,))
-
-        telemetry = self.telemetry
-        active = [i for i in order if shards[i]]
-        inflight = {shard_index: dispatch(shard_index, 0) for shard_index in active}
-        for shard_index in active:
-            entries = None
-            for attempt in range(self.max_shard_retries + 1):
-                try:
-                    buffer = inflight[shard_index].get(self.shard_timeout)
-                    entries, cache_stats, obs = decode_shard_payload_obs(buffer)
-                except multiprocessing.TimeoutError:
-                    self.supervision.timeouts += 1
-                except CodecCorruption:
-                    self.supervision.failures += 1
-                except Exception:
-                    # The attempt itself raised in the worker (the pool
-                    # propagates the exception through .get()).
-                    self.supervision.failures += 1
-                else:
-                    if self.exchange_cache is not None:
-                        self.exchange_cache.stats.add(*cache_stats)
-                    if obs and telemetry is not None:
-                        _ingest_obs(telemetry, obs)
-                    break
-                if attempt < self.max_shard_retries:
-                    self.supervision.retries += 1
-                    if self.retry_backoff > 0:
-                        time.sleep(self.retry_backoff * (2 ** attempt))
-                    inflight[shard_index] = dispatch(shard_index, attempt + 1)
-            if entries is None:
-                # Retries exhausted: execute just this shard inline in
-                # the parent — slower, but immune to a wedged pool.
-                self.supervision.retries += 1
-                self.supervision.fallbacks += 1
-                span = (
-                    telemetry.tracer.begin(
-                        "shard", "worker",
-                        shard=shard_index, week=str(week),
-                        attempt=self.max_shard_retries, fallback=True,
-                        events=len(shards[shard_index]),
-                    )
-                    if telemetry is not None
-                    else None
-                )
-                entries = self._run_shard(
-                    shards[shard_index], week, vantage_id, ip_version,
-                    quic_config, tcp_config,
-                )
-                if telemetry is not None:
-                    telemetry.tracer.end(span)
-            for site_index, kind, result, elapsed in entries:
-                merged[(site_index, kind)] = (result, elapsed)
-
-    # ------------------------------------------------------------------
-    def _run_shard(
-        self,
-        events: list[SiteEvent],
-        week: Week,
-        vantage_id: str,
-        ip_version: int,
-        quic_config: QuicScanConfig,
-        tcp_config: TcpScanConfig,
-        reuse: SiteResultCache | None = None,
-    ) -> list[tuple[int, int, object, float]]:
-        """Execute one shard's events; returns (site, kind, result, elapsed)."""
-        return _execute_entries(
-            self, events, week, vantage_id, ip_version, quic_config, tcp_config,
-            reuse=reuse,
-        )
-
-    # ------------------------------------------------------------------
-    # Process pool lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            global _WORKER_ENGINE
-            ctx = multiprocessing.get_context("fork")
-            # The global stays set for the POOL's lifetime, not just
-            # Pool() construction: mp.Pool re-forks replacement workers
-            # when one dies, and those late forks must inherit the
-            # engine too (a replacement worker with no engine would
-            # fail every task it is handed).  Consequence: with two
-            # live pools the *latest* engine wins for replacements —
-            # supervision's inline fallback still guarantees results,
-            # but keep one process-executor engine at a time.
-            _WORKER_ENGINE = self
-            self._pool = ctx.Pool(processes=min(self.shards, os.cpu_count() or 1))
-        return self._pool
-
-    def close(self) -> None:
-        """Dispose the worker pool (no-op for the inline executor)."""
-        if self._pool is not None:
-            global _WORKER_ENGINE
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            if _WORKER_ENGINE is self:
-                _WORKER_ENGINE = None
-
-    def invalidate(self) -> None:
-        """Drop cached plans *and* the forked pool (its world snapshot
-        predates whatever mutation triggered the invalidation)."""
-        super().invalidate()
-        self.close()
-
-    def __enter__(self) -> "ShardedScanEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 def _execute_entries(
@@ -484,12 +257,11 @@ def _execute_entries(
     ip_version: int,
     quic_config: QuicScanConfig,
     tcp_config: TcpScanConfig,
-    reuse: SiteResultCache | None = None,
 ) -> list[tuple[int, int, object, float]]:
     """Run events on their per-site substreams; returns checkpoint entries.
 
-    The one definition of shard/ticket execution: the inline executor,
-    the fork-pool worker and the shm-pool worker all call exactly this,
+    The one definition of shard/ticket execution: inline shards, the
+    shm-pool worker and its inline fallback all call exactly this,
     which is what keeps every executor bit-identical to the serial
     per-site engine.
     """
@@ -499,7 +271,7 @@ def _execute_entries(
     for event in events:
         elapsed = engine._run_event_per_site(
             event, week, vantage_id, ip_version, quic_config, tcp_config,
-            records, reuse, plugin_rows=plugin_rows,
+            records, plugin_rows=plugin_rows,
         )
         if event.kind == QUIC_EVENT:
             result = records[event.site_index].quic
@@ -509,61 +281,6 @@ def _execute_entries(
             result = plugin_rows[(event.site_index, event.kind)]
         out.append((event.site_index, event.kind, result, elapsed))
     return out
-
-
-def _pool_run_shard(payload) -> bytes:
-    """Pool task: run one shard, marshal its results as one codec buffer.
-
-    The worker's exchange cache (inherited at fork, warmed across the
-    weeks this worker has processed) accounts its own hits/misses; the
-    per-shard delta rides in the codec trailer so the parent's counters
-    stay executor-independent.
-
-    The engine's fault plan (tests only) hooks in here, on the worker
-    side of the process boundary: ``before_shard`` may crash or stall
-    this worker, ``mangle_shard_buffer`` may corrupt the marshalled
-    result — exactly the failures supervision must absorb.  Rules match
-    on ``(shard_index, week, attempt)``, carried in the payload, so
-    injection is deterministic across forks with no shared state.
-    """
-    engine = _WORKER_ENGINE
-    if engine is None:  # pragma: no cover - misuse guard
-        raise RuntimeError("worker has no inherited ShardedScanEngine")
-    (
-        events, week, vantage_id, ip_version, quic_config, tcp_config,
-        shard_index, attempt,
-    ) = payload
-    fault_plan = engine.fault_plan
-    if fault_plan is not None:
-        fault_plan.before_shard(shard=shard_index, week=week, attempt=attempt)
-    cache = engine.exchange_cache
-    base = cache.stats.snapshot() if cache is not None else (0, 0, 0)
-    # Workers always record their one shard span — a single perf_counter
-    # pair and ~100 blob bytes per shard, far below measurement noise —
-    # so instrumented parents never need to rebuild the pool to start
-    # tracing.  The parent ingests the blob only when telemetry is on.
-    tracer = Tracer()
-    span = tracer.begin(
-        "shard", "worker",
-        shard=shard_index, attempt=attempt, week=str(week), events=len(events),
-    )
-    entries = engine._run_shard(
-        events, week, vantage_id, ip_version, quic_config, tcp_config
-    )
-    tracer.end(span)
-    if cache is not None:
-        now = cache.stats.snapshot()
-        delta = (now[0] - base[0], now[1] - base[1], now[2] - base[2])
-    else:
-        delta = (0, 0, 0)
-    buffer = encode_shard_results(
-        entries, cache_stats=delta, obs=_worker_obs_blob(tracer, delta)
-    )
-    if fault_plan is not None:
-        buffer = fault_plan.mangle_shard_buffer(
-            buffer, shard=shard_index, week=week, attempt=attempt
-        )
-    return buffer
 
 
 # ----------------------------------------------------------------------
@@ -640,34 +357,40 @@ class _TicketState:
         self.done = False
 
 
-class ShmPoolScanEngine(ShardedScanEngine):
+class ShmPoolScanEngine(ScanEngine):
     """Persistent fork-pool engine over a shared-memory world.
 
-    The fork-pool economics inverted: instead of pickling per-shard
-    event lists into short-lived dispatches, the campaign world is
-    encoded **once** into a :class:`repro.util.shm.SharedSegment`, a
-    pool of ``workers`` processes attaches at startup (each decodes its
-    world zero-copy from the mapped buffer and hydrates lazy sections
-    on demand), and work travels as :class:`Ticket` descriptors — a
-    site range and a week range, a few dozen bytes.  Workers stay warm
-    across weeks: their exchange caches, scan plans and event lists
-    amortise over the whole campaign, and a worker that has already
-    computed a ticket replays the recorded result buffers immediately
-    (per-site RNG substreams make recomputation and replay
-    byte-identical, so this is safe by the same argument that makes
-    retries safe).
+    The campaign world is encoded **once** into a
+    :class:`repro.util.shm.SharedSegment`, a pool of ``workers``
+    processes attaches at startup (each decodes its world zero-copy
+    from the mapped buffer and hydrates lazy sections on demand), and
+    work travels as :class:`Ticket` descriptors — a site range and a
+    week range, a few dozen bytes.  Workers stay warm across weeks:
+    their exchange caches, scan plans and event lists amortise over the
+    whole campaign, and a worker that has already computed a ticket
+    replays the recorded result buffers immediately (per-site RNG
+    substreams make recomputation and replay byte-identical, so this is
+    safe by the same argument that makes retries safe).  Scan plans are
+    shared with the world's serial engine, and ``site_rng`` defaults to
+    ``"per-site"`` as for :class:`ShardedScanEngine`.
 
-    Supervision is inherited from the PR 6 machinery, at ticket
-    granularity: each ticket attempt has ``shard_timeout`` seconds *per
-    week it covers* to deliver buffers that decode cleanly, failures
-    re-dispatch with backoff up to ``max_shard_retries`` times, and an
-    exhausted ticket re-executes inline in the parent.  Merging goes
-    through the same validated :func:`ScanEngine._apply_replay` path as
-    every other executor.  ``close()`` — reached by the campaign loop's
-    ``finally`` on success, crash and abort alike — tears down the pool
-    and unlinks the shared segment; the leak regression tests scan
-    ``/dev/shm`` to hold that line.
+    Supervision works at ticket granularity: each ticket attempt has
+    ``shard_timeout`` seconds *per week it covers* to deliver buffers
+    that decode cleanly, failures re-dispatch with ``retry_backoff``
+    exponential backoff up to ``max_shard_retries`` times, and an
+    exhausted ticket re-executes inline in the parent.
+    ``fault_plan`` (:class:`repro.faults.FaultPlan`, tests only) injects
+    deterministic worker-side faults.  ``run_week`` folds the
+    per-week :class:`SupervisionStats` deltas into the caller's
+    ``phase_stats``.  Merging goes through the same validated
+    :func:`ScanEngine._apply_replay` path as every other executor.
+    ``close()`` — reached by the campaign loop's ``finally`` on
+    success, crash and abort alike — tears down the pool and unlinks
+    the shared segment; the leak regression tests scan ``/dev/shm`` to
+    hold that line.
     """
+
+    default_site_rng = "per-site"
 
     #: Parent replay-cache bound, matching :attr:`_ShmWorker.MEMO_LIMIT`:
     #: large enough for every (week, spec) a campaign produces, small
@@ -692,19 +415,16 @@ class ShmPoolScanEngine(ShardedScanEngine):
         if not fork_available():  # pragma: no cover - POSIX-only repo CI
             raise RuntimeError(
                 "ShmPoolScanEngine needs the fork start method (POSIX); "
-                "use executor='inline' sharding on this platform"
+                "use inline sharding (shards=N) on this platform"
             )
+        super().__init__(world, exchange_cache=exchange_cache)
         workers = workers if workers is not None else default_workers()
-        super().__init__(
-            world,
-            shards=workers,
-            executor="process",
-            exchange_cache=exchange_cache,
-            shard_timeout=shard_timeout,
-            max_shard_retries=max_shard_retries,
-            retry_backoff=retry_backoff,
-            fault_plan=fault_plan,
-        )
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if shard_timeout <= 0:
+            raise ValueError("shard_timeout must be positive")
+        if max_shard_retries < 0:
+            raise ValueError("max_shard_retries must be >= 0")
         if ticket_sites is not None and ticket_sites < 1:
             raise ValueError("ticket_sites must be >= 1")
         if ticket_weeks is not None and ticket_weeks < 1:
@@ -714,6 +434,19 @@ class ShmPoolScanEngine(ShardedScanEngine):
         self.workers = workers
         self.ticket_sites = ticket_sites
         self.ticket_weeks = ticket_weeks
+        #: Per-attempt, per-week ticket result deadline (seconds).
+        self.shard_timeout = shard_timeout
+        #: Pool re-dispatches per ticket before the inline fallback.
+        self.max_shard_retries = max_shard_retries
+        #: Base of the exponential re-dispatch backoff (seconds).
+        self.retry_backoff = retry_backoff
+        #: Deterministic fault-injection hooks; ``None`` in production.
+        self.fault_plan = fault_plan
+        #: Lifetime supervision counters (``run_week`` folds per-week
+        #: deltas into the caller's :class:`ScanPhaseStats`).
+        self.supervision = SupervisionStats()
+        self._plans = world.scan_engine()._plans  # share plan cache
+        self._pool = None
         self._segment = None
         #: (week, spec) -> tickets whose ranges cover that week.
         self._pending: dict[tuple, list[_TicketState]] = {}
@@ -812,6 +545,10 @@ class ShmPoolScanEngine(ShardedScanEngine):
         return pool.apply_async(_pool_run_ticket, (payload,))
 
     # ------------------------------------------------------------------
+    def _shard_of(self, site_index: int) -> int:
+        """The ticket site range a site falls in (diagnostics only)."""
+        return site_index // self._site_span()
+
     def _execute_site_phase(
         self,
         events,
@@ -821,7 +558,6 @@ class ShmPoolScanEngine(ShardedScanEngine):
         quic_config,
         tcp_config,
         records,
-        reuse,
         site_rng,
         entry_sink=None,
         replay=None,
@@ -837,22 +573,11 @@ class ShmPoolScanEngine(ShardedScanEngine):
                 "ScanEngine"
             )
         if replay is not None:
-            span = self._site_span()
             self._apply_replay(
-                events,
-                replay,
-                records,
-                entry_sink=entry_sink,
-                shard_of=lambda site_index: site_index // span,
-                plugin_rows=plugin_rows,
+                events, replay, records, entry_sink=entry_sink,
+                shard_of=self._shard_of, plugin_rows=plugin_rows,
             )
             return
-        if reuse is not None:
-            raise ValueError(
-                "reuse_site_results needs a cache shared across weeks; "
-                "shm-pool workers cannot provide one deterministically — "
-                "use executor='inline'"
-            )
         if populations is None:
             populations = ("cno", "toplist")
         if plugins is None:
@@ -869,15 +594,10 @@ class ShmPoolScanEngine(ShardedScanEngine):
         for blob in self._collected_obs.pop((week, spec), ()):
             if telemetry is not None:
                 _ingest_obs(telemetry, blob)
-        span = self._site_span()
         self._apply_replay(
-            events,
-            merged,
-            records,
-            entry_sink=entry_sink,
+            events, merged, records, entry_sink=entry_sink,
             source=f"shm-pool merge ({self.workers} workers)",
-            shard_of=lambda site_index: site_index // span,
-            plugin_rows=plugin_rows,
+            shard_of=self._shard_of, plugin_rows=plugin_rows,
         )
 
     # ------------------------------------------------------------------
@@ -1057,11 +777,32 @@ class ShmPoolScanEngine(ShardedScanEngine):
         self._collected_obs.clear()
         self._replayed.clear()
         try:
-            super().close()
+            if self._pool is not None:
+                self._pool.terminate()
+                self._pool.join()
+                self._pool = None
         finally:
             if self._segment is not None:
                 self._segment.unlink()
                 self._segment = None
+
+    def invalidate(self) -> None:
+        """Drop cached plans *and* the pool (its published world
+        snapshot predates whatever mutation triggered the invalidation)."""
+        super().invalidate()
+        self.close()
+
+    def __enter__(self) -> "ShmPoolScanEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
+        try:
+            self.close()
+        except Exception:
+            pass
 
 
 class _ShmWorker:
@@ -1092,8 +833,8 @@ def _shm_worker_init(segment, providers, vantages, overrides, exchange_cache, fa
     """Pool initializer: decode the shared world, build the worker engine.
 
     Runs once per worker process — including replacement workers forked
-    after a crash, which is what made the inherited-global approach of
-    ``_pool_run_shard`` fragile.  The decode reads zero-copy out of the
+    after a crash, so a late fork hydrates exactly like the originals
+    instead of depending on state inherited from the parent.  The decode reads zero-copy out of the
     shared segment; lazy sections (routes, DNS, attribution) hydrate on
     first miss inside the worker.
     """

@@ -18,8 +18,8 @@ dimension represented by index arrays computed at plan build.
   :class:`StoreObservations`, the sequence view analysis iterates; and
   :class:`StoreWeeklyRun`, the store-backed weekly run.
 * :mod:`repro.store.codec` — a compact binary codec for shard result
-  batches, so fork-pool workers ship one buffer per shard instead of
-  pickled object lists.
+  batches, so shm-pool workers ship one buffer per ticket-week instead
+  of pickled object lists.
 
 Store-backed runs are golden-identical to the object path (pinned by
 ``tests/test_store_golden.py``) and are the default for campaigns.

@@ -1,13 +1,13 @@
 """Compact binary codec for shard result batches.
 
-The fork-pool executor used to return per-shard *lists of result
+Pickling results across a process boundary means *lists of result
 objects* — every :class:`QuicConnectionResult` pickled with its nested
 counters, enums and header strings, per site, per week.  This codec
-marshals one shard's results into **one flat buffer**: varint-packed
-fields, a deduplicating string table (server headers repeat massively
-across sites), IEEE-754 doubles for the elapsed clock times (bit-exact,
-the merged shared clock must land on the same float), and enums by
-index.
+marshals one shard's (or shm-pool ticket-week's) results into **one
+flat buffer**: varint-packed fields, a deduplicating string table
+(server headers repeat massively across sites), IEEE-754 doubles for
+the elapsed clock times (bit-exact, the merged shared clock must land
+on the same float), and enums by index.
 
 The format is internal wire format, not an archive format: both ends
 are the same build of this module, so there is no cross-version
@@ -15,13 +15,13 @@ schema negotiation — just a magic/version prefix to fail fast on
 mismatched buffers.
 
 Entries are ``(site_index, kind, result, elapsed)`` exactly as
-:meth:`ShardedScanEngine._run_shard` produces them; decoding yields
+``repro.pipeline.sharding._execute_entries`` produces them; decoding yields
 objects that compare equal (``==``) to the originals, which the codec
 round-trip tests and the sharded golden tests pin.
 
 Version 2 adds a fixed three-varint header field carrying the worker's
 exchange replay-cache counters (hits, misses, uncacheable) for the
-encoded shard, so fork-pool runs report the same cache accounting as
+encoded shard, so shm-pool runs report the same cache accounting as
 in-process executors.  :func:`decode_shard_results` keeps returning
 just the entries; :func:`decode_shard_payload` returns both.
 

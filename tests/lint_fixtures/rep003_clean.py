@@ -12,9 +12,9 @@ _NAME_RE = re.compile(r"^[a-z]+$")
 _REGISTRY: Final[dict[str, int]] = {}
 
 #: The registered per-process pattern for deliberate worker state.
-_WORKER_ENGINE: object | None = None
+_WORKER_STATE: object | None = None
 
 
 def set_worker(engine: object) -> None:
-    global _WORKER_ENGINE  # legal: matches the _WORKER_* pattern
-    _WORKER_ENGINE = engine
+    global _WORKER_STATE  # legal: matches the _WORKER_* pattern
+    _WORKER_STATE = engine

@@ -3,8 +3,9 @@
 The contract: a campaign interrupted after any week and resumed from
 its checkpoint directory produces results *identical* to an
 uninterrupted run — same observations, same site records, same shared
-clock — for any shard count and executor, including resuming under a
-different partition than the one that wrote the checkpoints.  Corrupt,
+clock — for any shard or worker count and either executor (inline
+shards or the shm pool), including resuming under a different partition
+than the one that wrote the checkpoints.  Corrupt,
 foreign or missing checkpoint files are never trusted: the week
 recomputes and the output is unchanged.
 """
@@ -40,7 +41,8 @@ def _weeks(world):
 
 
 def _campaign(world, **kwargs):
-    kwargs.setdefault("shards", 2)
+    if "workers" not in kwargs:
+        kwargs.setdefault("shards", 2)
     return run_campaign(
         world, weeks=_weeks(world), populations=POPULATIONS, **kwargs
     )
@@ -61,33 +63,25 @@ def uninterrupted():
 
 
 @pytest.mark.parametrize(
-    "executor", ["inline", pytest.param("process", marks=requires_fork)]
+    "executor", ["inline", pytest.param("pool", marks=requires_fork)]
 )
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_kill_and_resume_matches_uninterrupted(
     tmp_path, uninterrupted, shards, executor
 ):
     ref_world, reference = uninterrupted
+    # The pool leg runs `shards` shm-pool workers instead of inline shards.
+    partition = {"shards": shards} if executor == "inline" else {"workers": shards}
     # Crash (via the fault harness) after the second of three weeks...
     world = _build()
     plan = FaultPlan().abort_campaign_after(_weeks(world)[1])
     with pytest.raises(InjectedFault):
-        _campaign(
-            world,
-            shards=shards,
-            shard_executor=executor,
-            checkpoint_dir=tmp_path,
-            fault_plan=plan,
-        )
+        _campaign(world, checkpoint_dir=tmp_path, fault_plan=plan, **partition)
     # ...then resume on a fresh world: completed weeks rehydrate from
     # disk, the rest compute, and the result is the uninterrupted one.
     resumed_world = _build()
     resumed = _campaign(
-        resumed_world,
-        shards=shards,
-        shard_executor=executor,
-        checkpoint_dir=tmp_path,
-        resume=True,
+        resumed_world, checkpoint_dir=tmp_path, resume=True, **partition
     )
     _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
 
@@ -184,16 +178,17 @@ def test_checkpoint_validation_errors():
         run_campaign(world, resume=True)
     with pytest.raises(ValueError, match="shards"):
         run_campaign(world, checkpoint_dir="/tmp/nowhere")
-    with pytest.raises(ValueError, match="reuse_site_results"):
-        run_campaign(
-            world, shards=2, checkpoint_dir="/tmp/nowhere", reuse_site_results=True
-        )
     with pytest.raises(ValueError, match="tracebox"):
         run_campaign(
             world, shards=2, checkpoint_dir="/tmp/nowhere", run_tracebox=True
         )
     with pytest.raises(ValueError, match="shard_timeout"):
         run_campaign(world, shard_timeout=5.0)
+    # Inline shards never dispatch, so supervision knobs need workers=N.
+    with pytest.raises(ValueError, match="workers"):
+        run_campaign(world, shards=2, shard_timeout=5.0)
+    with pytest.raises(ValueError, match="workers"):
+        run_campaign(world, shards=2, max_shard_retries=1)
 
 
 def test_atomic_write_bytes(tmp_path):

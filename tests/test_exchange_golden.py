@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.analysis.report import longitudinal_report
 from repro.pipeline.engine import ScanEngine, ScanPhaseStats
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
 from repro.scanner.results import DomainObservation
 from repro.web.spec import WorldConfig
 
@@ -167,12 +167,12 @@ def test_sharded_cached_invariant_under_worker_permutation(fresh_per_site_runs):
 
 @requires_fork
 def test_fork_pool_cached_matches_fresh_serial(fresh_per_site_runs):
-    """Workers replay from their fork-inherited caches; still golden."""
+    """Shm-pool workers replay from their warm caches; still golden."""
     world_ref, references = fresh_per_site_runs
     world = _build(DEEP_SCALE)
     week = world.config.reference_week
     stats = ScanPhaseStats()
-    with ShardedScanEngine(world, shards=3, executor="process") as engine:
+    with ShmPoolScanEngine(world, workers=3) as engine:
         for reference, scan_week in zip(references, (week + (-1), week), strict=True):
             run = engine.run_week(
                 scan_week, include_tcp=True, phase_stats=stats

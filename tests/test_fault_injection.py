@@ -1,10 +1,12 @@
-"""Supervised shard execution under injected faults.
+"""Supervised shm-pool execution under injected faults.
 
-Every fault the harness can inject — worker crash, stalled shard,
+Every fault the harness can inject — worker crash, stalled ticket,
 corrupted result buffer — must be absorbed by supervision (retry, then
 inline fallback) with results *identical* to a clean run: per-site RNG
-substreams make retried shards byte-deterministic, so recovery is
+substreams make retried tickets byte-deterministic, so recovery is
 invisible in the output and visible only in the supervision counters.
+A single ``run_week`` on ``workers=2`` tiles the sites into two
+one-week tickets, so a rule's ``shard`` coordinate names ticket 0 or 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import pytest
 import repro
 from repro.faults import FaultPlan, InjectedFault
 from repro.pipeline.engine import ScanPhaseStats, ShardResultMissing
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
+from repro.util import shm
 from repro.web.spec import WorldConfig
 
 from tests.conftest import requires_fork
@@ -36,13 +39,12 @@ def serial_per_site():
     return world, run
 
 
-def _run_faulted(plan, *, shards=2, max_shard_retries=2, shard_timeout=3.0):
+def _run_faulted(plan, *, workers=2, max_shard_retries=2, shard_timeout=3.0):
     world = _build()
     stats = ScanPhaseStats()
-    engine = ShardedScanEngine(
+    engine = ShmPoolScanEngine(
         world,
-        shards=shards,
-        executor="process",
+        workers=workers,
         fault_plan=plan,
         shard_timeout=shard_timeout,
         max_shard_retries=max_shard_retries,
@@ -51,6 +53,7 @@ def _run_faulted(plan, *, shards=2, max_shard_retries=2, shard_timeout=3.0):
         run = engine.run_week(
             world.config.reference_week, include_tcp=True, phase_stats=stats
         )
+    assert shm.live_segments() == []
     return world, run, stats, engine
 
 
@@ -96,10 +99,10 @@ def test_stalled_shard_times_out_and_results_match(serial_per_site):
 
 @requires_fork
 def test_persistent_crash_falls_back_inline(serial_per_site):
-    """A shard that fails every pool attempt re-executes in the parent."""
+    """A ticket that fails every pool attempt re-executes in the parent."""
     world_ref, reference = serial_per_site
     week = world_ref.config.reference_week
-    # attempt=None: every dispatch of shard 1 crashes its worker.
+    # attempt=None: every dispatch of ticket 1 crashes its worker.
     plan = FaultPlan(seed=4).crash_worker(shard=1, week=week, attempt=None)
     world, run, stats, engine = _run_faulted(
         plan, max_shard_retries=1, shard_timeout=1.5

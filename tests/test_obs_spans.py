@@ -199,15 +199,15 @@ def _assert_worker_spans_under_their_week(spans, *, expect_workers=True):
 
 @requires_fork
 def test_forkpool_worker_spans_reparent_under_week():
+    # The shm pool forks its workers; with small site-range tickets
+    # each worker records many ticket spans in its own process.
     world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
     telemetry = Telemetry()
-    spans = _campaign_spans(
-        world, telemetry, shards=2, shard_executor="process"
-    )
+    spans = _campaign_spans(world, telemetry, workers=2, ticket_sites=4)
     workers = _assert_worker_spans_under_their_week(spans)
     # Worker spans recorded in worker processes: different pid.
-    assert {span.pid for span in workers} != {telemetry.tracer.pid}
-    assert all(span.name == "shard" for span in workers)
+    assert telemetry.tracer.pid not in {span.pid for span in workers}
+    assert all(span.name == "ticket" for span in workers)
     # Worker-side cache counters shipped through the blob trailer.
     assert telemetry.registry.value("worker.exchange_cache.misses") > 0
 
@@ -235,14 +235,13 @@ def test_retried_shard_spans_tag_attempt():
     spans = _campaign_spans(
         world,
         telemetry,
-        shards=2,
-        shard_executor="process",
+        workers=2,
         fault_plan=plan,
         shard_timeout=1.5,
     )
     workers = _assert_worker_spans_under_their_week(spans)
     retried = [span for span in workers if span.attrs["attempt"] > 0]
-    assert retried, "expected a retried shard span tagged attempt>0"
+    assert retried, "expected a retried ticket span tagged attempt>0"
     assert all(not span.attrs.get("fallback") for span in retried)
     assert telemetry.registry.value("campaign.supervision.retries") >= 1
 
@@ -251,15 +250,14 @@ def test_retried_shard_spans_tag_attempt():
 def test_fallback_shard_spans_tag_fallback():
     world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
     weeks = _weeks(world)
-    # attempt=None: every pool dispatch of shard 1 crashes, so
+    # attempt=None: every pool dispatch of ticket 1 crashes, so
     # supervision re-executes it inline in the parent.
     plan = FaultPlan(seed=6).crash_worker(shard=1, week=weeks[0], attempt=None)
     telemetry = Telemetry()
     spans = _campaign_spans(
         world,
         telemetry,
-        shards=2,
-        shard_executor="process",
+        workers=2,
         fault_plan=plan,
         shard_timeout=1.5,
         max_shard_retries=1,

@@ -180,44 +180,6 @@ def test_site_events_far_fewer_than_domains():
     assert len(events) * 10 < len(world.domains)
 
 
-# ----------------------------------------------------------------------
-# Cross-week reuse hook
-# ----------------------------------------------------------------------
-def test_cross_week_reuse_skips_unchanged_sites(monkeypatch):
-    world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
-    engine = world.scan_engine()
-    import repro.pipeline.engine as engine_module
-
-    scanned: list[int] = []
-    original = engine_module.scan_site_quic
-
-    def counting_scan(world_arg, site, *args, **kwargs):
-        scanned.append(site.index)
-        return original(world_arg, site, *args, **kwargs)
-
-    monkeypatch.setattr(engine_module, "scan_site_quic", counting_scan)
-
-    week = world.config.reference_week
-    runs = engine.run_weeks(
-        [week, week + 1], populations=("cno",), reuse_site_results=True
-    )
-    counts = {}
-    for index in scanned:
-        counts[index] = counts.get(index, 0) + 1
-    rescanned = [index for index, count in counts.items() if count > 1]
-    # Behaviour epochs are stable across these adjacent weeks for most
-    # sites, so the second week reuses results instead of re-scanning.
-    assert len(rescanned) < len(counts) / 2
-    shared = [
-        index
-        for index, record in runs[0].site_records.items()
-        if record.quic is not None
-        and index in runs[1].site_records
-        and runs[1].site_records[index].quic is record.quic
-    ]
-    assert shared  # identical objects prove reuse, not re-computation
-
-
 def test_world_site_attribution_materialised():
     world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
     # Attribution is a lazy section since the snapshot PR: sites carry

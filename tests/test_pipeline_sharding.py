@@ -2,10 +2,12 @@
 
 The sharded engine's contract is that the *partition is invisible*:
 per-site RNG substreams are seeded from stable identities (world seed,
-week, vantage, family, site, kind), so any shard count, any worker
-permutation, and both executors must merge to results identical to the
+week, vantage, family, site, kind), so any shard count and any shard
+execution order must merge to results identical to the
 serial :class:`ScanEngine` run in ``site_rng="per-site"`` mode — same
-observations, same site records, same shared-clock trajectory.
+observations, same site records, same shared-clock trajectory.  The
+multi-process executor (the shm pool) is golden-tested the same way in
+``tests/test_shm_pool.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import repro
 from repro.pipeline.sharding import ShardedScanEngine
 from repro.scanner.results import DomainObservation
 from repro.web.spec import WorldConfig
-
-from tests.conftest import requires_fork
 
 SCALE = 6_000
 
@@ -80,18 +80,6 @@ def test_sharded_results_invariant_under_worker_permutation(serial_per_site):
     assert world_ref.clock.now == world.clock.now
 
 
-@requires_fork
-def test_sharded_process_executor_matches(serial_per_site):
-    world_ref, reference = serial_per_site
-    world = _build()
-    with ShardedScanEngine(world, shards=3, executor="process") as engine:
-        run = engine.run_week(
-            world.config.reference_week, include_tcp=True, run_tracebox=True
-        )
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-
-
 def test_per_site_mode_is_reproducible_run_to_run():
     """Two identically-seeded worlds produce identical per-site runs."""
     run_a = _build().scan_engine().run_week(
@@ -118,7 +106,8 @@ def test_partition_is_stable_and_keeps_sites_together():
 def test_campaign_with_shards_matches_unsharded_per_site():
     world_a, world_b = _build(), _build()
     weeks = [world_a.config.start_week, world_a.config.reference_week]
-    runs = world_a.scan_engine().run_weeks(weeks, site_rng="per-site")
+    engine = world_a.scan_engine()
+    runs = [engine.run_week(week, site_rng="per-site") for week in weeks]
     campaign = repro.run_campaign(
         world_b, weeks=weeks, shards=2, populations=("cno", "toplist")
     )
@@ -129,8 +118,11 @@ def test_campaign_with_shards_matches_unsharded_per_site():
 
 def test_sharded_engine_rejects_shared_stream_and_bad_executors():
     world = _build()
-    with pytest.raises(ValueError):
-        ShardedScanEngine(world, executor="threads")
+    # Inline is the only sharded executor; multi-process runs and their
+    # supervision knobs belong to ShmPoolScanEngine.
+    for knob in ("executor", "shard_timeout", "max_shard_retries", "fault_plan"):
+        with pytest.raises(TypeError):
+            ShardedScanEngine(world, shards=2, **{knob: None})
     with pytest.raises(ValueError):
         ShardedScanEngine(world, shards=0)
     engine = ShardedScanEngine(world, shards=2)

@@ -191,27 +191,14 @@ def test_ecn_plugin_byte_identical_sharded(shards):
 
 
 @requires_fork
-@pytest.mark.parametrize(
-    "engine_factory",
-    [
-        lambda world: ShardedScanEngine(world, shards=2, executor="process"),
-        lambda world: ShmPoolScanEngine(world, workers=2),
-    ],
-    ids=["fork-pool", "shm-pool"],
-)
-def test_ecn_plugin_byte_identical_fork_executors(engine_factory):
+def test_ecn_plugin_byte_identical_shm_pool():
     world_ref, world = _build(), _build()
     week = world_ref.config.reference_week
     reference = world_ref.scan_engine().run_week(
         week, site_rng="per-site", include_tcp=True
     )
-    engine = engine_factory(world)
-    try:
+    with ShmPoolScanEngine(world, workers=2) as engine:
         run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 

@@ -444,8 +444,6 @@ def test_campaign_pool_validation_errors():
         run_campaign(world, workers=2, engine=object())
     with pytest.raises(ValueError, match="engine="):
         run_campaign(world, engine=object(), shard_timeout=1.0)
-    with pytest.raises(ValueError, match="shard_executor"):
-        run_campaign(world, workers=2, shard_executor="process")
 
 
 @requires_fork
@@ -455,6 +453,12 @@ def test_engine_constructor_validations():
         ShmPoolScanEngine(world, ticket_sites=0)
     with pytest.raises(ValueError, match="ticket_weeks"):
         ShmPoolScanEngine(world, ticket_weeks=0)
+    with pytest.raises(ValueError, match="workers"):
+        ShmPoolScanEngine(world, workers=0)
+    with pytest.raises(ValueError, match="shard_timeout"):
+        ShmPoolScanEngine(world, shard_timeout=0)
+    with pytest.raises(ValueError, match="max_shard_retries"):
+        ShmPoolScanEngine(world, max_shard_retries=-1)
 
 
 @requires_fork
@@ -473,3 +477,12 @@ def test_cli_campaign_flag_conflicts(capsys):
     assert "mutually exclusive" in capsys.readouterr().err
     assert main(["campaign", "--ticket-sites", "9"]) == 2
     assert "--ticket-sites requires --workers" in capsys.readouterr().err
+    # Inline shards never dispatch: supervision flags need --workers.
+    for flags in (
+        ["--shard-timeout", "5"],
+        ["--shard-retries", "1"],
+        ["--shard-timeout", "5", "--shard-retries", "1"],
+    ):
+        assert main(["campaign", "--shards", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--shard-timeout/--shard-retries require --workers" in err

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.counters import EcnCounts
 from repro.core.validation import ValidationOutcome
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.sharding import ShardedScanEngine, _execute_entries
 from repro.quic.connection import QuicConnectionResult
 from repro.quic.versions import QuicVersion
 from repro.store.codec import MAGIC, decode_shard_results, encode_shard_results
@@ -120,8 +120,8 @@ def test_codec_round_trips_a_real_shard():
     from repro.scanner.quic_scan import QuicScanConfig
     from repro.scanner.tcp_scan import TcpScanConfig
 
-    produced = engine._run_shard(
-        shard, week, "main-aachen", 4, QuicScanConfig(), TcpScanConfig()
+    produced = _execute_entries(
+        engine, shard, week, "main-aachen", 4, QuicScanConfig(), TcpScanConfig()
     )
     assert produced
     decoded = decode_shard_results(encode_shard_results(produced))

@@ -20,7 +20,7 @@ from repro.analysis import figures as fig
 from repro.analysis import tables as tab
 from repro.analysis.aggregate import count_by_org, distinct_ips, org_ecn_counts
 from repro.analysis.report import longitudinal_report, reference_report
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
 from repro.scanner.results import DomainObservation
 from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
 from repro.web.spec import WorldConfig
@@ -166,10 +166,10 @@ def test_sharded_store_invariant_under_worker_permutation(per_site_objects_run):
 
 @requires_fork
 def test_sharded_store_fork_pool_matches(per_site_objects_run):
-    """Fork-pool workers marshal through the codec; results still golden."""
+    """Shm-pool workers marshal through the codec; results still golden."""
     world_ref, reference = per_site_objects_run
     world = _build(DEEP_SCALE)
-    with ShardedScanEngine(world, shards=3, executor="process") as engine:
+    with ShmPoolScanEngine(world, workers=3) as engine:
         run = engine.run_week(
             world.config.reference_week,
             include_tcp=True,

@@ -182,17 +182,18 @@ def test_rehydrated_matches_fresh_for_every_vantage_and_family():
 
 @pytest.mark.parametrize("shards,executor", [
     (1, "inline"), (2, "inline"), (4, "inline"),
-    pytest.param(2, "process", marks=requires_fork),
-    pytest.param(4, "process", marks=requires_fork),
+    pytest.param(2, "pool", marks=requires_fork),
+    pytest.param(4, "pool", marks=requires_fork),
 ])
 def test_rehydrated_campaign_and_analysis_identical(shards, executor):
-    """Sharded campaigns + longitudinal analysis, both executors."""
+    """Sharded campaigns + longitudinal analysis: inline shards and the
+    shm pool (which re-publishes the rehydrated world to its workers)."""
     fresh = _build(MATRIX_SCALE)
     rehydrated = _rehydrated(MATRIX_SCALE)
     weeks = [Week(2022, 22), Week(2023, 5), Week(2023, 15)]
+    partition = {"shards": shards} if executor == "inline" else {"workers": shards}
     campaigns = [
-        repro.run_campaign(world, weeks=weeks, shards=shards,
-                           shard_executor=executor)
+        repro.run_campaign(world, weeks=weeks, **partition)
         for world in (fresh, rehydrated)
     ]
     for exp_run, act_run in zip(campaigns[0].runs, campaigns[1].runs, strict=True):
