@@ -1,28 +1,23 @@
 """Fault-injection smoke: recovery must be invisible in the output.
 
 Not a perf benchmark — a CI robustness gate (docs/robustness.md).  It
-runs the same scale-1000 campaign three ways over the shared-memory
-worker pool (``workers=4``) and demands byte-identical results:
+runs the same scale-1000 campaign three ways over inline shards and
+demands byte-identical results:
 
-1. **clean** — no faults; must finish with zero ticket retries (the
-   supervised dispatch path behaving exactly like a blocking map);
-2. **faulted** — one worker crash plus one corrupted ticket result
-   buffer injected by the deterministic fault harness
-   (:mod:`repro.faults`); supervision must absorb both (exactly one
-   timeout, one failure and two retries) and the campaign, its
-   analysis report and the shared clock must equal the clean run's
-   exactly;
-3. **kill-and-resume** — the campaign is aborted after its second
-   week, then resumed from its checkpoint directory on a fresh world;
-   the resumed campaign must equal the clean run's exactly.
+1. **clean** — no faults, ``shards=2``: the reference;
+2. **kill-and-resume** — the campaign (``shards=2``, checkpointing) is
+   aborted after its second week by the deterministic fault harness
+   (:mod:`repro.faults`), then resumed from its checkpoint directory on
+   a fresh world under a *different* partition (``shards=3``);
+3. **corrupt-checkpoint-then-resume** — as leg 2, but the first week's
+   checkpoint is bit-flipped as it is written
+   (``FaultPlan.corrupt_checkpoint``); the resume must reject that file
+   (one ``campaign.checkpoint.corrupt`` load), recompute the week and
+   replay the intact one.
 
-Every leg must also leave zero live shared-memory segments.  The
-campaign prefetches all its weeks as one ticket per worker, so ticket
-``i`` covers site range ``i`` for every week; fault rules address
-tickets by that index (the rule's ``shard`` coordinate).
-
-Any divergence, missed fault, unexpected retry or leaked segment exits
-non-zero::
+Each interrupted leg must match the clean run exactly: campaign
+observations and site records, the analysis report, and the shared
+clock.  Any divergence or missed fault exits non-zero::
 
     PYTHONPATH=src python benchmarks/bench_fault_injection.py
 """
@@ -37,19 +32,14 @@ from pathlib import Path
 import repro
 from repro.analysis.report import longitudinal_report
 from repro.faults import FaultPlan, InjectedFault
-from repro.pipeline.engine import ScanPhaseStats
+from repro.obs import Telemetry
 from repro.scanner.results import DomainObservation
-from repro.util import shm
 from repro.web.spec import WorldConfig
 
 SCALE = 1_000
-WORKERS = 4
-#: The ticket each fault targets: one ticket per worker, so any index
-#: below WORKERS exists; each covers every campaign week.
-CRASH_TICKET = 1
-CORRUPT_TICKET = 2
+SHARDS = 2
+RESUME_SHARDS = 3
 POPULATIONS = ("cno", "toplist")
-SHARD_TIMEOUT = 10.0
 
 OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
 
@@ -62,11 +52,6 @@ def _check(ok: bool, label: str) -> None:
         _failures.append(label)
 
 
-def _check_no_leaked_segments(leg: str) -> None:
-    leaked = shm.live_segments()
-    _check(leaked == [], f"{leg} leg left no live shared segments ({leaked})")
-
-
 def _build() -> "repro.World":
     return repro.build_world(WorldConfig(scale=SCALE))
 
@@ -76,17 +61,10 @@ def _weeks(world):
     return [config.start_week, config.start_week + 8, config.reference_week]
 
 
-def _campaign(world, **kwargs):
-    stats = kwargs.pop("phase_stats", None) or ScanPhaseStats()
-    campaign = repro.run_campaign(
-        world,
-        weeks=_weeks(world),
-        populations=POPULATIONS,
-        workers=WORKERS,
-        phase_stats=stats,
-        **kwargs,
+def _campaign(world, *, shards=SHARDS, **kwargs):
+    return repro.run_campaign(
+        world, weeks=_weeks(world), populations=POPULATIONS, shards=shards, **kwargs
     )
-    return campaign, stats
 
 
 def _campaigns_equal(reference, candidate) -> bool:
@@ -110,74 +88,84 @@ def _campaigns_equal(reference, candidate) -> bool:
     return True
 
 
+def _interrupt_and_resume(leg: str, plan: FaultPlan, checkpoint_dir: str):
+    """Abort a checkpointed campaign via ``plan``, then resume it on a
+    fresh world under a different shard count.  Returns the resumed
+    campaign, its world and the resume's checkpoint counters."""
+    killed_world = _build()
+    try:
+        _campaign(killed_world, checkpoint_dir=checkpoint_dir, fault_plan=plan)
+    except InjectedFault:
+        pass
+    else:
+        _check(False, f"{leg}: abort fault interrupted the campaign")
+    stored = sorted(Path(checkpoint_dir).rglob("*.ecnc"))
+    _check(len(stored) == 2,
+           f"{leg}: two weeks checkpointed before the kill (found {len(stored)})")
+    resumed_world = _build()
+    telemetry = Telemetry()
+    resumed = _campaign(
+        resumed_world, shards=RESUME_SHARDS, checkpoint_dir=checkpoint_dir,
+        resume=True, telemetry=telemetry,
+    )
+    registry = telemetry.registry
+    counters = {
+        name: int(registry.value(f"campaign.checkpoint.{name}", 0))
+        for name in ("weeks_resumed", "corrupt", "misses")
+    }
+    print(f"{leg}: resumed on {RESUME_SHARDS} shards, checkpoint loads {counters}")
+    return resumed_world, resumed, counters
+
+
+def _check_matches_clean(leg, clean_world, clean, clean_report, world, campaign):
+    _check(_campaigns_equal(clean, campaign),
+           f"{leg}: campaign observations identical to clean run")
+    _check(repr(longitudinal_report(campaign)) == clean_report,
+           f"{leg}: analysis report identical to clean run")
+    _check(world.clock.now == clean_world.clock.now,
+           f"{leg}: clock identical to clean run")
+
+
 def main() -> int:
     clean_world = _build()
-    clean, clean_stats = _campaign(clean_world)
+    clean = _campaign(clean_world)
     clean_report = repr(longitudinal_report(clean))
     print(f"clean campaign: {len(clean.runs)} weeks, "
-          f"{sum(len(r.observations) for r in clean.runs)} observations, "
-          f"{clean_stats.shard_retries} ticket retries")
-    _check(clean_stats.shard_retries == 0, "clean run needed no ticket retries")
-    _check_no_leaked_segments("clean")
-
-    # ------------------------------------------------------------------
-    # Leg 1: worker crash + corrupted ticket result buffer.
-    # ------------------------------------------------------------------
+          f"{sum(len(r.observations) for r in clean.runs)} observations "
+          f"({SHARDS} shards)")
     weeks = _weeks(clean_world)
-    plan = (
-        FaultPlan(seed=11)
-        .crash_worker(shard=CRASH_TICKET, week=weeks[0])
-        .corrupt_shard_buffer(shard=CORRUPT_TICKET, week=weeks[2], mode="bitflip")
-    )
-    faulted_world = _build()
-    faulted, faulted_stats = _campaign(faulted_world, fault_plan=plan,
-                                       shard_timeout=SHARD_TIMEOUT)
-    print(f"faulted campaign: {faulted_stats.shard_retries} retries, "
-          f"{faulted_stats.shard_timeouts} timeouts, "
-          f"{faulted_stats.shard_failures} failures")
-    _check(faulted_stats.shard_timeouts == 1,
-           "worker crash surfaced as exactly one ticket timeout")
-    _check(faulted_stats.shard_failures == 1,
-           "corrupted buffer surfaced as exactly one ticket failure")
-    _check(faulted_stats.shard_retries == 2,
-           "both faults recovered with exactly one retry each")
-    _check(_campaigns_equal(clean, faulted),
-           "faulted campaign observations identical to clean run")
-    _check(repr(longitudinal_report(faulted)) == clean_report,
-           "faulted campaign analysis report identical to clean run")
-    _check(faulted_world.clock.now == clean_world.clock.now,
-           "faulted campaign clock identical to clean run")
-    _check_no_leaked_segments("faulted")
 
     # ------------------------------------------------------------------
-    # Leg 2: kill after the second week, resume from checkpoints.
+    # Leg 1: kill after the second week, resume from checkpoints.
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as checkpoint_dir:
-        killed_world = _build()
-        abort = FaultPlan().abort_campaign_after(weeks[1])
-        try:
-            _campaign(killed_world, checkpoint_dir=checkpoint_dir,
-                      fault_plan=abort)
-        except InjectedFault:
-            pass
-        else:
-            _check(False, "abort fault interrupted the campaign")
-        stored = sorted(Path(checkpoint_dir).rglob("*.ecnc"))
-        _check(len(stored) == 2,
-               f"two weeks checkpointed before the kill (found {len(stored)})")
-        resumed_world = _build()
-        resumed, resumed_stats = _campaign(
-            resumed_world, checkpoint_dir=checkpoint_dir, resume=True
+        world, resumed, counters = _interrupt_and_resume(
+            "kill-and-resume", FaultPlan().abort_campaign_after(weeks[1]),
+            checkpoint_dir,
         )
-        _check(_campaigns_equal(clean, resumed),
-               "resumed campaign observations identical to clean run")
-        _check(repr(longitudinal_report(resumed)) == clean_report,
-               "resumed campaign analysis report identical to clean run")
-        _check(resumed_world.clock.now == clean_world.clock.now,
-               "resumed campaign clock identical to clean run")
-        _check(resumed_stats.shard_retries == 0,
-               "resume needed no ticket retries")
-        _check_no_leaked_segments("kill-and-resume")
+        _check(counters == {"weeks_resumed": 2, "corrupt": 0, "misses": 1},
+               "kill-and-resume: both stored weeks replayed, the third computed")
+        _check_matches_clean("kill-and-resume", clean_world, clean, clean_report,
+                             world, resumed)
+
+    # ------------------------------------------------------------------
+    # Leg 2: first week's checkpoint corrupted at write time, then the
+    # same kill; the resume must distrust that file and recompute it.
+    # ------------------------------------------------------------------
+    with tempfile.TemporaryDirectory() as checkpoint_dir:
+        plan = (
+            FaultPlan(seed=11)
+            .corrupt_checkpoint(week=weeks[0], mode="bitflip")
+            .abort_campaign_after(weeks[1])
+        )
+        world, resumed, counters = _interrupt_and_resume(
+            "corrupt-checkpoint", plan, checkpoint_dir,
+        )
+        _check(counters == {"weeks_resumed": 1, "corrupt": 1, "misses": 1},
+               "corrupt-checkpoint: damaged week rejected and recomputed, "
+               "intact week replayed")
+        _check_matches_clean("corrupt-checkpoint", clean_world, clean, clean_report,
+                             world, resumed)
 
     if _failures:
         print(f"\n{len(_failures)} fault-injection check(s) failed",

@@ -19,9 +19,9 @@ Runs under the bench harness (pytest-benchmark) or standalone::
     PYTHONPATH=src python benchmarks/bench_pipeline_scan.py --smoke    # scale-1000 smoke
     PYTHONPATH=src python benchmarks/bench_pipeline_scan.py --smoke --check  # CI gate
 
-``--smoke`` records ``smoke_*`` fields (scan, a store-backed default
-campaign **and** a shared-memory pool campaign, plus the cold/warm
-world-cache split); ``--check`` compares
+``--smoke`` records ``smoke_*`` fields (scan, the store-backed default
+campaign, plus the cold/warm world-cache split) and the ``plugin_*``
+framework-overhead fields; ``--check`` compares
 fresh smoke numbers against
 the committed baselines and exits non-zero on a >2x regression — or on
 an exchange-cache hit rate below the committed
@@ -32,7 +32,9 @@ regression), or on a world-cache speedup below
 back to rebuilding), or on a telemetry instrumentation overhead above
 :data:`OBS_OVERHEAD_MAX_PCT` (``campaign_obs_overhead_pct``, an
 interleaved plain-vs-instrumented campaign comparison —
-docs/observability.md).  Check runs are read-only:
+docs/observability.md), or on a plugin-framework overhead above
+:data:`PLUGIN_OVERHEAD_MAX_PCT` (``plugin_overhead_pct``,
+docs/plugins.md).  Check runs are read-only:
 ``BENCH_pipeline.json`` is the single canonical perf artifact (see
 ``docs/benchmarks.md``) and only non-check runs rewrite it.
 ``--smoke --trace-out trace.json --metrics-out metrics.json``
@@ -50,9 +52,7 @@ from pathlib import Path
 
 import repro
 from repro.analysis.report import longitudinal_report
-from repro.pipeline import ShmPoolScanEngine
 from repro.pipeline.engine import ScanPhaseStats
-from repro.util import shm
 from repro.web.spec import WorldConfig
 
 SCALE = 8_000
@@ -77,12 +77,12 @@ WORLD_CACHE_SPEEDUP_FLOOR = 5.0
 #: zero (scheduler noise can make the instrumented leg win).
 OBS_OVERHEAD_MAX_PCT = 3.0
 #: CI gate: a campaign that selects the ``ecn`` plugin explicitly must
-#: cost at most this much extra shm-pool wall time over the default
-#: selection — the plugin framework's dispatch must be free when only
-#: the core scan is selected.  Measured exactly like the telemetry
-#: overhead below: interleaved default → ecn-plugin rounds through the
-#: same pool engine, best-of-N delta clamped at zero, minimum over
-#: repetitions (scheduler noise only ever inflates the clamped delta).
+#: cost at most this much extra wall time over the default selection —
+#: the plugin framework's dispatch must be free when only the core scan
+#: is selected.  Measured exactly like the telemetry overhead below:
+#: interleaved default → ecn-plugin store campaigns on the same world,
+#: best-of-N delta clamped at zero, minimum over repetitions (scheduler
+#: noise only ever inflates the clamped delta).
 PLUGIN_OVERHEAD_MAX_PCT = 5.0
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
@@ -102,6 +102,22 @@ RETIRED_FIELDS = (
     # Superseded by the world_build_cold/warm_seconds acquisition split
     # (plain fresh-build time lives on as `build_seconds`).
     "world_build_seconds",
+    # The shared-memory worker pool was deleted; the plugin-overhead
+    # fields moved to the serial store campaign (plugin_ecn_* etc.).
+    "campaign_shm_pool_seconds",
+    "campaign_shm_pool_workers",
+    "campaign_shm_pool_domains_per_second",
+    "campaign_shm_pool_retries",
+    "smoke_shm_pool_seconds",
+    "smoke_shm_pool_workers",
+    "smoke_shm_pool_domains_per_second",
+    "smoke_shm_pool_retries",
+    "smoke_shm_pool_leaked_segments",
+    "plugin_ecn_shm_pool_seconds",
+    "plugin_ecn_shm_pool_domains_per_second",
+    "plugin_multi_shm_pool_seconds",
+    "plugin_multi_shm_pool_domains_per_second",
+    "plugin_shm_pool_retries",
 )
 
 
@@ -391,44 +407,6 @@ def bench_campaign_sharded(benchmark):
     )
 
 
-def bench_campaign_shm_pool(benchmark):
-    """The shared-memory persistent pool (2 workers, ticket dispatch).
-
-    The engine outlives the rounds, as it outlives the weeks of a real
-    campaign: round one pays pool spin-up + world publication, later
-    rounds replay worker-memoised tickets — best-of-N reports the warm
-    steady state, same as every other case here benefits from the warm
-    exchange cache of the shared world.
-    """
-    world = _shared_world()
-    durations: list[float] = []
-    supervision = ScanPhaseStats()
-
-    with ShmPoolScanEngine(world, workers=2) as engine:
-
-        def campaign():
-            result, elapsed = _timed(
-                lambda: repro.run_campaign(
-                    world, engine=engine, phase_stats=supervision
-                )
-            )
-            durations.append(elapsed)
-            return result
-
-        result = benchmark.pedantic(campaign, rounds=3, iterations=1)
-    assert result.runs
-    assert supervision.shard_retries == 0
-    assert shm.live_segments() == []
-    total_obs = sum(len(run.observations) for run in result.runs)
-    best = min(durations)
-    _record(
-        campaign_shm_pool_seconds=best,
-        campaign_shm_pool_workers=2,
-        campaign_shm_pool_domains_per_second=round(total_obs / best),
-        campaign_shm_pool_retries=supervision.shard_retries,
-    )
-
-
 # ----------------------------------------------------------------------
 # Standalone entry points
 # ----------------------------------------------------------------------
@@ -476,40 +454,64 @@ def run_full() -> None:
     print(f"campaign (4 shards): {sharded_best:.3f}s "
           f"({round(sharded_obs / sharded_best)} domains/s)")
 
-    pool_supervision = ScanPhaseStats()
-    with ShmPoolScanEngine(world, workers=2) as pool_engine:
-        shm_pool, shm_pool_best = _best_of(
-            lambda: repro.run_campaign(
-                world, engine=pool_engine, phase_stats=pool_supervision
-            )
-        )
-    assert pool_supervision.shard_retries == 0
-    assert shm.live_segments() == []
-    shm_pool_obs = sum(len(r.observations) for r in shm_pool.runs)
-    _record(
-        campaign_shm_pool_seconds=shm_pool_best,
-        campaign_shm_pool_workers=2,
-        campaign_shm_pool_domains_per_second=round(shm_pool_obs / shm_pool_best),
-        campaign_shm_pool_retries=pool_supervision.shard_retries,
-    )
-    print(f"campaign (shm pool, 2 workers): {shm_pool_best:.3f}s "
-          f"({round(shm_pool_obs / shm_pool_best)} domains/s, "
-          f"{pool_supervision.shard_retries} retries)")
     print(f"wrote {RESULTS_PATH}")
 
 
-def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
-    """Scale-1000 smoke: weekly scan + store and shm-pool campaigns.
+def _plugin_overhead(world) -> dict:
+    """Plugin-framework legs on the serial store campaign.
 
-    All cases are best-of-3 — the 2x CI gate compares single machines
-    across runs, and a one-shot number would trip it on scheduler noise.
-    The shm-pool case drives the whole worker/codec path end to end —
-    shared-segment publication, zero-copy world decode, ticket
-    dispatch, codec result buffers and the cache-counter trailer (a
-    persistent engine, best-of-3 so the warm steady state is what is
-    gated) — so marshalling regressions fail the build, not just slow
-    the full bench, and additionally reports leaked segments.  The world-cache split drives the snapshot
-    encode/persist/decode path the same way.
+    The explicit single-plugin selection must cost ~nothing relative to
+    the default selection — the framework's overhead gate, measured as
+    an interleaved paired delta exactly like :func:`_obs_overhead`
+    because the two legs run identical work and any gap is dispatch
+    cost or noise.  A second plugin (grease) then runs once per round
+    as an end-to-end exercise of variant rows through the engine, the
+    replay cache and the store.
+    """
+    overhead_pct = None
+    ecn_campaign, ecn_best = None, None
+    for _ in range(6):
+        default_times, ecn_times = [], []
+        for _ in range(3):
+            _, elapsed = _timed(lambda: repro.run_campaign(world))
+            default_times.append(elapsed)
+            ecn_campaign, elapsed = _timed(
+                lambda: repro.run_campaign(world, plugins=("ecn",))
+            )
+            ecn_times.append(elapsed)
+        measured = max(
+            0.0,
+            100.0 * (min(ecn_times) - min(default_times)) / min(default_times),
+        )
+        overhead_pct = measured if overhead_pct is None else min(overhead_pct, measured)
+        best = min(ecn_times)
+        ecn_best = best if ecn_best is None else min(ecn_best, best)
+        if overhead_pct <= PLUGIN_OVERHEAD_MAX_PCT:
+            break
+    multi, multi_best = _best_of(
+        lambda: repro.run_campaign(world, plugins=("ecn", "grease"))
+    )
+    ecn_obs = sum(len(r.observations) for r in ecn_campaign.runs)
+    multi_obs = sum(len(r.observations) for r in multi.runs)
+    return {
+        "plugin_ecn_seconds": ecn_best,
+        "plugin_ecn_domains_per_second": round(ecn_obs / ecn_best),
+        "plugin_overhead_pct": round(overhead_pct, 2),
+        "plugin_multi_seconds": multi_best,
+        "plugin_multi_domains_per_second": round(multi_obs / multi_best),
+        "plugin_multi_grease_rows": sum(
+            len(r.plugin_rows.get("grease", {})) for r in multi.runs
+        ),
+    }
+
+
+def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
+    """Scale-1000 smoke: weekly scan, store campaign, plugin legs.
+
+    All timed cases are best-of-3 — the 2x CI gate compares single
+    machines across runs, and a one-shot number would trip it on
+    scheduler noise.  The world-cache split drives the snapshot
+    encode/persist/decode path end to end.
     """
     world_split = _world_cache_split(SMOKE_SCALE)
     world = world_split["world"]
@@ -521,69 +523,7 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
     )
     campaign, campaign_best, _, cache_totals = _campaign_with_split(world)
     campaign_obs = sum(len(r.observations) for r in campaign.runs)
-    pool_supervision = ScanPhaseStats()
-    with ShmPoolScanEngine(world, workers=2) as pool_engine:
-        shm_pool, shm_pool_best = _best_of(
-            lambda: repro.run_campaign(
-                world, engine=pool_engine, phase_stats=pool_supervision
-            )
-        )
-    shm_pool_obs = sum(len(r.observations) for r in shm_pool.runs)
-    leaked_segments = len(shm.live_segments())
-    # Plugin-framework legs: the same shm-pool campaign through the
-    # explicit single-plugin selection (must cost ~nothing relative to
-    # the default selection — the framework's overhead gate, measured
-    # as an interleaved paired delta exactly like _obs_overhead because
-    # the two legs run identical work and any gap is dispatch cost or
-    # noise) and once with a second plugin (grease) whose variants
-    # double as an end-to-end row-through-codec exercise.
-    plugin_supervision = ScanPhaseStats()
-    plugin_overhead_pct = None
-    plugin_ecn, plugin_ecn_best = None, None
-    with ShmPoolScanEngine(world, workers=2) as plugin_engine:
-        for _ in range(6):
-            default_times, ecn_times = [], []
-            for _ in range(3):
-                _, elapsed = _timed(
-                    lambda: repro.run_campaign(
-                        world, engine=plugin_engine,
-                        phase_stats=plugin_supervision,
-                    )
-                )
-                default_times.append(elapsed)
-                plugin_ecn, elapsed = _timed(
-                    lambda: repro.run_campaign(
-                        world, engine=plugin_engine, plugins=("ecn",),
-                        phase_stats=plugin_supervision,
-                    )
-                )
-                ecn_times.append(elapsed)
-            measured = max(
-                0.0,
-                100.0 * (min(ecn_times) - min(default_times)) / min(default_times),
-            )
-            plugin_overhead_pct = (
-                measured
-                if plugin_overhead_pct is None
-                else min(plugin_overhead_pct, measured)
-            )
-            best = min(ecn_times)
-            plugin_ecn_best = best if plugin_ecn_best is None else min(
-                plugin_ecn_best, best
-            )
-            if plugin_overhead_pct <= PLUGIN_OVERHEAD_MAX_PCT:
-                break
-        plugin_multi, plugin_multi_best = _best_of(
-            lambda: repro.run_campaign(
-                world, engine=plugin_engine, plugins=("ecn", "grease"),
-                phase_stats=plugin_supervision,
-            )
-        )
-    plugin_ecn_obs = sum(len(r.observations) for r in plugin_ecn.runs)
-    plugin_multi_obs = sum(len(r.observations) for r in plugin_multi.runs)
-    plugin_grease_rows = sum(
-        len(r.plugin_rows.get("grease", {})) for r in plugin_multi.runs
-    )
+    plugin_metrics = _plugin_overhead(world)
     obs_metrics = _obs_overhead(world, trace_out=trace_out, metrics_out=metrics_out)
     print(f"smoke scan (scale {SMOKE_SCALE}): {scan_best:.4f}s "
           f"({len(run.observations)} domains)")
@@ -591,14 +531,11 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
           f"({len(campaign.runs)} weeks, "
           f"{round(campaign_obs / campaign_best)} domains/s, cache hit rate "
           f"{cache_totals.exchange_cache_hit_rate:.3f})")
-    print(f"smoke shm-pool campaign (scale {SMOKE_SCALE}): {shm_pool_best:.3f}s "
-          f"({round(shm_pool_obs / shm_pool_best)} domains/s, "
-          f"{pool_supervision.shard_retries} retries, "
-          f"{leaked_segments} leaked segments)")
-    print(f"smoke plugin campaigns (scale {SMOKE_SCALE}, shm pool): ecn "
-          f"{plugin_ecn_best:.3f}s ({plugin_overhead_pct:.2f}% over default), "
-          f"ecn+grease {plugin_multi_best:.3f}s "
-          f"({plugin_grease_rows} grease rows)")
+    print(f"smoke plugin campaigns (scale {SMOKE_SCALE}, store): ecn "
+          f"{plugin_metrics['plugin_ecn_seconds']:.3f}s "
+          f"({plugin_metrics['plugin_overhead_pct']:.2f}% over default), "
+          f"ecn+grease {plugin_metrics['plugin_multi_seconds']:.3f}s "
+          f"({plugin_metrics['plugin_multi_grease_rows']} grease rows)")
     print(f"smoke world cache (scale {SMOKE_SCALE}): cold "
           f"{world_split['cold']:.3f}s, warm {world_split['warm']:.3f}s "
           f"({world_split['bytes']} snapshot bytes)")
@@ -608,6 +545,7 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
           f"rate {obs_metrics['campaign_obs_cache_hit_rate']:.3f})")
     return {
         **obs_metrics,
+        **plugin_metrics,
         "smoke_scale": SMOKE_SCALE,
         "smoke_world_cold_seconds": world_split["cold"],
         "smoke_world_warm_seconds": world_split["warm"],
@@ -622,22 +560,6 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
         "smoke_campaign_exchange_cache_hit_rate": round(
             cache_totals.exchange_cache_hit_rate, 4
         ),
-        "smoke_shm_pool_seconds": shm_pool_best,
-        "smoke_shm_pool_workers": 2,
-        "smoke_shm_pool_domains_per_second": round(shm_pool_obs / shm_pool_best),
-        "smoke_shm_pool_retries": pool_supervision.shard_retries,
-        "smoke_shm_pool_leaked_segments": leaked_segments,
-        "plugin_ecn_shm_pool_seconds": plugin_ecn_best,
-        "plugin_ecn_shm_pool_domains_per_second": round(
-            plugin_ecn_obs / plugin_ecn_best
-        ),
-        "plugin_overhead_pct": round(plugin_overhead_pct, 2),
-        "plugin_multi_shm_pool_seconds": plugin_multi_best,
-        "plugin_multi_shm_pool_domains_per_second": round(
-            plugin_multi_obs / plugin_multi_best
-        ),
-        "plugin_multi_grease_rows": plugin_grease_rows,
-        "plugin_shm_pool_retries": plugin_supervision.shard_retries,
     }
 
 
@@ -646,27 +568,18 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
 
     Without ``check`` the fresh numbers become the committed baselines
     in ``BENCH_pipeline.json`` — the **single canonical perf
-    artifact**.  With ``check`` the fresh scan, campaign *and
-    shm-pool* campaign times are compared against the committed
-    ``smoke_*_seconds`` baselines (a >2x regression on any fails), the
-    campaign's exchange-cache hit rate must clear the committed
-    :data:`CACHE_HIT_RATE_FLOOR`, warm world acquisition must be at
-    least :data:`WORLD_CACHE_SPEEDUP_FLOOR` times faster than a cold
-    build+snapshot, the telemetry layer must cost at most
-    :data:`OBS_OVERHEAD_MAX_PCT` extra campaign wall time, and the
-    shm-pool campaign must complete with **zero
-    retries** — on healthy input the supervised dispatch path must
-    behave exactly like the old blocking map, so any retry means
-    workers are dying or the shard timeout is misconfigured.  The
-    shm-pool leg additionally requires **zero leaked segments** and
-    that the committed full-bench shm-pool throughput is at least the
-    committed inline campaign throughput (the whole point of the
-    shared-memory pool: the multi-process path wins, it does not merely match).
-    The plugin legs require the explicit ``ecn``-plugin shm-pool
+    artifact**.  With ``check`` the fresh scan and campaign times are
+    compared against the committed ``smoke_*_seconds`` baselines (a >2x
+    regression on either fails), the campaign's exchange-cache hit rate
+    must clear the committed :data:`CACHE_HIT_RATE_FLOOR`, warm world
+    acquisition must be at least :data:`WORLD_CACHE_SPEEDUP_FLOOR`
+    times faster than a cold build+snapshot, and the telemetry layer
+    must cost at most :data:`OBS_OVERHEAD_MAX_PCT` extra campaign wall
+    time.  The plugin legs require the explicit ``ecn``-plugin store
     campaign to cost at most :data:`PLUGIN_OVERHEAD_MAX_PCT` extra
     wall time over the default selection (interleaved paired delta,
     same run), and the two-plugin (``ecn+grease``) campaign to produce
-    grease rows with zero retries.  Check runs are read-only —
+    grease rows.  Check runs are read-only —
     nothing on disk is rewritten,
     so repeated local checks cannot ratchet the gate and no second,
     drift-prone copy of the bench file exists.
@@ -684,7 +597,6 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
     for field, label in (
         ("smoke_scan_seconds", "smoke scan"),
         ("smoke_campaign_seconds", "smoke campaign"),
-        ("smoke_shm_pool_seconds", "smoke shm-pool campaign"),
     ):
         baseline = committed.get(field)
         if baseline is None:
@@ -706,56 +618,23 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
         print(f"FAIL: exchange-cache hit rate {hit_rate:.4f} below the "
               f"committed floor {CACHE_HIT_RATE_FLOOR:.2f}", file=sys.stderr)
         status = 1
-    pool_retries = metrics["smoke_shm_pool_retries"]
-    leaked = metrics["smoke_shm_pool_leaked_segments"]
-    print(f"smoke shm-pool ticket retries: required 0, measured {pool_retries}; "
-          f"leaked segments: required 0, measured {leaked}")
-    if pool_retries != 0:
-        print(f"FAIL: clean shm-pool campaign needed {pool_retries} ticket "
-              "retries — pool workers are dying or timing out on healthy "
-              "input", file=sys.stderr)
-        status = 1
-    if leaked != 0:
-        print(f"FAIL: shm-pool campaign leaked {leaked} shared segment(s) — "
-              "engine close() no longer unlinks the world buffer",
-              file=sys.stderr)
-        status = 1
-    pool_rate = committed.get("campaign_shm_pool_domains_per_second")
-    inline_rate = committed.get("campaign_domains_per_second")
-    if pool_rate is None or inline_rate is None:
-        print("no committed campaign_shm_pool_domains_per_second / "
-              "campaign_domains_per_second; run the full bench first",
-              file=sys.stderr)
-        return 2
-    print(f"committed shm-pool vs inline (scale {committed.get('scale')}): "
-          f"{pool_rate} vs {inline_rate} domains/s")
-    if pool_rate < inline_rate:
-        print(f"FAIL: committed shm-pool campaign throughput ({pool_rate} "
-              f"domains/s) below the inline campaign ({inline_rate} "
-              "domains/s) — the shm-pool win regressed", file=sys.stderr)
-        status = 1
     plugin_overhead = metrics["plugin_overhead_pct"]
     print(f"plugin-framework overhead: max {PLUGIN_OVERHEAD_MAX_PCT:.1f}%, "
           f"measured {plugin_overhead:.2f}% (ecn plugin vs default "
-          f"selection, shm pool)")
+          f"selection, store campaign)")
     if plugin_overhead > PLUGIN_OVERHEAD_MAX_PCT:
         print(f"FAIL: selecting the ecn plugin explicitly costs "
-              f"{plugin_overhead:.2f}% extra shm-pool campaign wall time "
+              f"{plugin_overhead:.2f}% extra campaign wall time "
               f"(budget {PLUGIN_OVERHEAD_MAX_PCT:.1f}%) — plugin dispatch "
               "is no longer free for the core scan", file=sys.stderr)
         status = 1
     grease_rows = metrics["plugin_multi_grease_rows"]
-    plugin_retries = metrics["plugin_shm_pool_retries"]
     print(f"plugin two-plugin campaign: {grease_rows} grease rows "
-          f"(required > 0), {plugin_retries} retries (required 0)")
+          f"(required > 0)")
     if grease_rows <= 0:
-        print("FAIL: the ecn+grease shm-pool campaign produced no grease "
-              "rows — plugin variants are not flowing through the pool",
+        print("FAIL: the ecn+grease campaign produced no grease rows — "
+              "plugin variants are not flowing through the engine",
               file=sys.stderr)
-        status = 1
-    if plugin_retries != 0:
-        print(f"FAIL: plugin shm-pool campaigns needed {plugin_retries} "
-              "ticket retries on healthy input", file=sys.stderr)
         status = 1
     overhead = metrics["campaign_obs_overhead_pct"]
     print(f"obs instrumentation overhead: max {OBS_OVERHEAD_MAX_PCT:.1f}%, "

@@ -18,7 +18,7 @@ see docs/plugins.md.  World options (``--scale``/``--seed``/
 ``--world-cache``) are shared by every world-building subcommand via
 one parent parser.
 
-Reports print to stdout; diagnostics (cache/supervision stats, the
+Reports print to stdout; diagnostics (exchange-cache stats, the
 ``--progress`` heartbeat, obs-output notes, deprecation pointers) go to
 stderr, silenced by ``--quiet``.  ``scan`` and ``campaign`` take
 ``--metrics-out`` / ``--trace-out`` for the telemetry layer
@@ -139,7 +139,7 @@ def _add_obs_args(parser: argparse.ArgumentParser, *, progress: bool = True) -> 
             "--progress",
             action="store_true",
             help="per-week heartbeat on stderr: weeks done, domain "
-                 "throughput, cache hit rate, retries/fallbacks",
+                 "throughput, cache hit rate",
         )
     parser.add_argument(
         "--quiet",
@@ -260,19 +260,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    if args.shards is not None and args.workers is not None:
-        print("--shards and --workers are mutually exclusive", file=sys.stderr)
+    if args.cadence < 1:
+        print(f"--cadence must be >= 1, got {args.cadence}", file=sys.stderr)
         return 2
-    if args.ticket_sites is not None and args.workers is None:
-        print("--ticket-sites requires --workers", file=sys.stderr)
+    if args.shards is not None and args.shards < 1:
+        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    if args.shards is None and args.workers is None and args.checkpoint_dir is not None:
-        print("--checkpoint-dir requires --shards or --workers", file=sys.stderr)
-        return 2
-    if args.workers is None and (
-        args.shard_timeout is not None or args.shard_retries is not None
-    ):
-        print("--shard-timeout/--shard-retries require --workers", file=sys.stderr)
+    if args.shards is None and args.checkpoint_dir is not None:
+        print("--checkpoint-dir requires --shards", file=sys.stderr)
         return 2
     if args.resume and args.checkpoint_dir is None:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
@@ -294,15 +289,11 @@ def _cmd_campaign(args) -> int:
         cadence_weeks=args.cadence,
         plugins=plugins,
         shards=args.shards,
-        workers=args.workers,
-        ticket_sites=args.ticket_sites,
         backend=args.backend,
         exchange_cache=not args.no_exchange_cache,
         phase_stats=stats,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
-        shard_timeout=args.shard_timeout,
-        max_shard_retries=args.shard_retries,
         telemetry=telemetry,
         progress=progress,
     )
@@ -315,14 +306,6 @@ def _cmd_campaign(args) -> int:
             f"{stats.exchange_cache_misses} misses / "
             f"{stats.exchange_cache_uncacheable} uncacheable "
             f"({100 * stats.exchange_cache_hit_rate:.1f}% hit rate)",
-        )
-    if stats.shard_retries or stats.shard_timeouts or stats.shard_failures:
-        _note(
-            args,
-            f"shard supervision: {stats.shard_retries} retries / "
-            f"{stats.shard_timeouts} timeouts / "
-            f"{stats.shard_failures} failures (run recovered; results "
-            f"are identical to a clean run)",
         )
     _obs_finish(args, telemetry)
     return 0
@@ -442,38 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign", help="longitudinal Figures 3/4/8", parents=[world_parent]
     )
-    campaign.add_argument("--cadence", type=int, default=12, help="weeks between scans")
+    campaign.add_argument(
+        "--cadence", type=int, default=12, help="weeks between scans (>= 1)"
+    )
     _add_plugin_args(campaign, default=("ecn",))
     campaign.add_argument(
         "--shards",
         type=int,
         default=None,
-        help="shard the site phase in-process over deterministic per-site "
-             "RNG substreams (order-independent; about a third of the serial "
-             "engine's throughput at bench scales — use --workers for "
-             "parallel execution; see docs/architecture.md)",
-    )
-    campaign.add_argument(
-        "--workers",
-        type=int,
-        default=None,
         metavar="N",
-        help="run the site phase on a persistent pool of N forked workers "
-             "sharing one shared-memory world snapshot; weeks are "
-             "prefetched as (site-range, week-range) tickets, so the "
-             "whole campaign costs one dispatch round trip per worker "
-             "(mutually exclusive with --shards; see "
-             "docs/architecture.md#worker-pool--shared-world)",
-    )
-    campaign.add_argument(
-        "--ticket-sites",
-        type=int,
-        default=None,
-        metavar="M",
-        help="sites per work ticket for --workers (default: site count / "
-             "workers, i.e. one ticket per worker); smaller tickets "
-             "rebalance faster after a worker crash at the cost of more "
-             "dispatches",
+        help="shard the site phase in-process over deterministic per-site "
+             "RNG substreams (N >= 1; order-independent and required for "
+             "--checkpoint-dir; not a speed-up — shards run one after "
+             "another; see docs/architecture.md)",
     )
     campaign.add_argument(
         "--backend",
@@ -495,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="persist each completed week's results under DIR (atomic, "
-             "checksummed; requires --shards or --workers) so an "
+             "checksummed; requires --shards) so an "
              "interrupted campaign can --resume without recomputing "
              "finished weeks",
     )
@@ -504,23 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rehydrate weeks already checkpointed under --checkpoint-dir; "
              "resumed campaigns are byte-identical to uninterrupted ones",
-    )
-    campaign.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-attempt, per-week deadline for --workers tickets "
-             "(default 60; hung or crashed workers are retried, then "
-             "re-executed inline; requires --workers)",
-    )
-    campaign.add_argument(
-        "--shard-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pool re-dispatches per failed ticket before the inline "
-             "fallback (default 2; requires --workers)",
     )
     _add_obs_args(campaign)
     campaign.set_defaults(func=_cmd_campaign)

@@ -130,9 +130,7 @@ class ExchangeCache:
     ``path_memo`` additionally memoises the per-site ECMP selection for
     key derivation (the flow hash is a SHA-256; the 5-tuple is
     week-invariant, so it only needs recomputing on route-epoch
-    changes).  Fork-pool workers inherit the cache by fork and
-    accumulate independently; their stats travel back in the shard
-    codec buffers.
+    changes).
     """
 
     __slots__ = ("stats", "path_memo", "_outcomes", "_values", "_paths")

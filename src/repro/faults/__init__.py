@@ -1,9 +1,8 @@
 """Deterministic fault injection (tests, CI smoke, robustness docs)."""
 
-from repro.faults.plan import CRASH_EXIT_CODE, FaultPlan, InjectedFault
+from repro.faults.plan import FaultPlan, InjectedFault
 
 __all__ = [
-    "CRASH_EXIT_CODE",
     "FaultPlan",
     "InjectedFault",
 ]

@@ -1,8 +1,8 @@
 """repro-lint: AST-based invariant checker for the reproduction.
 
 The runtime's headline guarantee — byte-identical campaigns across
-serial/inline/fork/shm-pool executors, replay caches, checkpoints and
-plugins — rests on invariants that used to live only in docs prose.
+serial and sharded execution, replay caches, checkpoints and plugins —
+rests on invariants that used to live only in docs prose.
 This package machine-checks them at lint time (one parse per file):
 
 ========  ==================  ===============================================

@@ -26,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based invariant checker for the repro codebase: "
-            "determinism, plugin purity, fork safety, codec discipline, "
+            "determinism, plugin purity, run isolation, codec discipline, "
             "__slots__ and stdout discipline (docs/static-analysis.md)."
         ),
     )

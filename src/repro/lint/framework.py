@@ -2,7 +2,7 @@
 
 The runtime's byte-identical-replay guarantee rests on invariants that
 no test exercises directly — determinism of every draw, purity of
-plugin hooks, fork-consistency of module globals, verify-before-parse
+plugin hooks, run isolation of module globals, verify-before-parse
 codec discipline (docs/static-analysis.md).  This framework checks
 them at the AST level:
 
@@ -23,8 +23,8 @@ A trailing suppression silences the named codes on its own line; a
 *standalone* comment line silences them on the next line instead, so
 long reasons don't force long code lines::
 
-    # repro-lint: skip[REP004] framed by the ECNSTOR4 trailer
-    def decode_obs_blob(blob: bytes) -> ...:
+    # repro-lint: skip[REP004] rides inside a CRC-verified frame
+    def decode_inner_blob(blob: bytes) -> ...:
 
 Either way the waiver sits next to the construct it excuses and shows
 up in review diffs.

@@ -1,6 +1,6 @@
-"""REP004 — codec discipline for every byte that touches a disk or a pipe.
+"""REP004 — codec discipline for every byte that touches a disk.
 
-Crashed workers and torn files produce truncated or bit-flipped
+Crashed writers and torn files produce truncated or bit-flipped
 buffers; docs/robustness.md commits to *verify-before-parse* so those
 decode to a typed :class:`~repro.util.framing.CodecCorruption`, never
 to plausible-but-wrong results.  Three checks keep that promise

@@ -14,7 +14,7 @@ __all__ = [
 ]
 
 #: Calls whose result is immutable (or at least never mutated by
-#: convention): safe as module-level globals under fork/shm workers.
+#: convention): safe as module-level globals shared by every run.
 IMMUTABLE_CALLS = frozenset(
     {
         "re.compile",

@@ -1,19 +1,19 @@
-"""REP003 — module globals in worker-imported modules must be fork-safe.
+"""REP003 — module globals in the run-path modules must not carry run state.
 
-Shm-pool workers import ``pipeline/``, ``exchange/`` and ``plugins/``
-modules and then run for the lifetime of a campaign.  A
-mutable module-level global mutated at runtime silently diverges
-between parent and workers (each fork gets a copy-on-write snapshot),
-which is exactly the bug class the golden matrices can only catch by
-luck.  Two shapes are legal:
+One process runs many scans and campaigns back to back (tests, the
+bench harness, a notebook): ``pipeline/``, ``exchange/`` and
+``plugins/`` modules stay imported across all of them.  A mutable
+module-level global mutated at runtime leaks one run's state into the
+next, so a run's results start to depend on what ran before it in the
+same process — exactly the bug class the golden matrices can only
+catch by luck.  Two shapes are legal:
 
-* the **registered worker-state pattern** — names matching
-  ``_WORKER_*`` or ``_SHM_WORKER`` (e.g. ``_SHM_WORKER`` in
-  ``pipeline/sharding.py``), which are deliberately per-process and
-  documented as such;
+* the **registered per-process state pattern** — names matching
+  ``_WORKER_*`` (the configurable ``worker_pattern`` option), which
+  are deliberate and documented as such;
 * **import-time constants** — immutable values, or mutable containers
-  annotated ``Final`` (never rebound; filled only during import so all
-  processes agree — e.g. the plugin registry).
+  annotated ``Final`` (never rebound; filled only during import so
+  every run sees the same contents — e.g. the plugin registry).
 
 Everything else is flagged: bare mutable container bindings, and
 ``global`` statements that rebind non-worker names at runtime.
@@ -36,8 +36,8 @@ class ForkSafetyRule(Rule):
     code = "REP003"
     name = "fork-safety"
     rationale = (
-        "mutable module globals diverge between the parent and forked "
-        "workers; use the _WORKER_* pattern or a Final import-time constant"
+        "mutable module globals leak state between runs in one process; "
+        "use the _WORKER_* pattern or a Final import-time constant"
     )
 
     def run(self, ctx):  # type: ignore[override]
@@ -72,9 +72,9 @@ class ForkSafetyRule(Rule):
                         self.report(
                             node,
                             f"'global {name}' rebinds a module global at "
-                            "runtime: forked workers keep their snapshot "
-                            "and silently diverge — use the _WORKER_* "
-                            "pattern for deliberate per-process state",
+                            "runtime: its value leaks into every later run "
+                            "in the process — use the _WORKER_* pattern "
+                            "for deliberate per-process state",
                         )
         return self.violations
 
@@ -97,7 +97,7 @@ class ForkSafetyRule(Rule):
             return
         self.report(
             stmt,
-            f"mutable module global {name!r} in a worker-imported module: "
+            f"mutable module global {name!r} in a run-path module: "
             "annotate Final (import-time constant) or use the _WORKER_* "
             "per-process pattern",
         )

@@ -1,14 +1,13 @@
 """Unified telemetry: metrics registry, span tracing, run reports.
 
-``repro.obs`` is the cross-cutting observability layer for the
-multi-process scan runtime (docs/observability.md):
+``repro.obs`` is the cross-cutting observability layer for the scan
+runtime (docs/observability.md):
 
 * :mod:`repro.obs.metrics` — namespaced counters/gauges/histograms
   with plain-attribute hot paths, plus the :func:`safe_ratio`
   zero-denominator convention every derived rate follows.
 * :mod:`repro.obs.spans` — hierarchical span tracing on the monotonic
-  clock; worker spans ship back inside the CRC-checked shard frames
-  and re-parent under the dispatching span.
+  clock (campaign → week → phase → shard).
 * :mod:`repro.obs.export` — Chrome trace-event JSON (``--trace-out``,
   Perfetto-loadable) and the schema-versioned metrics report
   (``--metrics-out``).
@@ -42,7 +41,7 @@ from repro.obs.metrics import (
     safe_ratio,
 )
 from repro.obs.progress import CampaignProgress
-from repro.obs.spans import Span, Tracer, decode_obs_blob, encode_obs_blob
+from repro.obs.spans import Span, Tracer
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -55,8 +54,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "decode_obs_blob",
-    "encode_obs_blob",
     "global_registry",
     "load_metrics",
     "reset_global_registry",

@@ -6,10 +6,9 @@ Two artifacts come out of an instrumented run:
   ``traceEvents`` array of ``"ph": "X"`` complete events), loadable
   directly in Perfetto / ``chrome://tracing``.  Timestamps are
   microseconds relative to the earliest span in the trace; ``pid`` is
-  the real OS pid of the recording process so worker lanes separate
-  visually.  Span ids and parent ids ride in ``args`` (complete events
-  have no native parent field) — tests and downstream tools recover
-  the hierarchy from there.
+  the real OS pid of the recording process.  Span ids and parent ids
+  ride in ``args`` (complete events have no native parent field) —
+  tests and downstream tools recover the hierarchy from there.
 
 * ``--metrics-out metrics.json`` — schema-versioned run report: the
   full metric tree (:meth:`MetricsRegistry.to_tree`) plus a per-category

@@ -1,20 +1,18 @@
 """Typed metrics registry with near-zero hot-path overhead.
 
 The runtime grew counters organically: :class:`ScanPhaseStats` on the
-engine, :class:`SupervisionStats` on the sharded executors, exchange
-replay-cache counters shipped in shard trailers, world-cache hits
-measured (but never reported) by :mod:`repro.web.snapshot`, shm-pool
-memo/replay counters.  Each had its own dataclass, its own merge
-method, and its own ad-hoc print site.  This module puts one namespaced
-model behind all of them.
+engine, exchange replay-cache counters, world-cache hits measured (but
+never reported) by :mod:`repro.web.snapshot`.  Each had its own
+dataclass, its own merge method, and its own ad-hoc print site.  This
+module puts one namespaced model behind all of them.
 
 Design constraints, in order:
 
 * **Hot-path cost is a plain attribute bump.**  ``counter.value += n``
   or ``counter.inc()`` — no locks, no dict lookups per increment, no
   string formatting.  Callers resolve a metric *once* (at setup) and
-  hold the instrument object; workers are single-threaded forked
-  processes, so instruments are thread-naive on purpose.
+  hold the instrument object; the runtime is single-threaded, so
+  instruments are thread-naive on purpose.
 * **Zero repro dependencies.**  This module imports only the standard
   library so any subsystem (including :mod:`repro.web.snapshot`, which
   sits below the pipeline) can publish metrics without import cycles.
@@ -23,7 +21,7 @@ Design constraints, in order:
   registry ``ratio()`` instruments inherit the convention, and the
   legacy dataclass properties delegate to it (tests pin this).
 
-Names are dot-separated paths (``campaign.supervision.retries``,
+Names are dot-separated paths (``campaign.exchange_cache.hits``,
 ``world.cache.memory_hits``).  ``to_tree()`` emits the flat
 name → entry mapping that :func:`repro.obs.export.write_metrics`
 wraps in the schema-versioned run report.
@@ -87,7 +85,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value (queue depth, worker count, scale)."""
+    """Last-written value (phase seconds, scale)."""
 
     __slots__ = ("name", "value")
 
@@ -298,26 +296,6 @@ class MetricsRegistry:
                 self.gauge(name).merge(metric)
             else:
                 self.histogram(name).merge(metric)
-
-    def counter_deltas(self, baseline: dict[str, int] | None = None) -> dict[str, int]:
-        """Counter values (minus an optional baseline snapshot), zeros dropped.
-
-        Workers use this to ship only the counters a ticket actually
-        moved; the baseline is a previous ``counter_deltas(None)``.
-        """
-        baseline = baseline or {}
-        deltas: dict[str, int] = {}
-        for name, metric in self._metrics.items():
-            if not isinstance(metric, Counter):
-                continue
-            delta = metric.value - baseline.get(name, 0)
-            if delta:
-                deltas[name] = delta
-        return deltas
-
-    def apply_counter_deltas(self, deltas: dict[str, int]) -> None:
-        for name, delta in deltas.items():
-            self.counter(name).value += delta
 
     def to_tree(self) -> dict[str, dict[str, object]]:
         """Flat ``name -> entry`` mapping, sorted, ratios evaluated last."""

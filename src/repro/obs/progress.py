@@ -1,7 +1,7 @@
 """Opt-in stderr heartbeat for long campaigns (``--progress``).
 
 One line per completed week: weeks done / total, cumulative domain
-throughput, exchange-cache hit rate, and supervision retries/fallbacks.
+throughput and exchange-cache hit rate.
 Writes to *stderr* only — report output on stdout stays clean — and is
 throttled so scale-1M campaigns don't drown the terminal.
 """
@@ -40,8 +40,6 @@ class CampaignProgress:
         domains: int,
         cache_hits: int,
         cache_misses: int,
-        retries: int,
-        fallbacks: int,
     ) -> None:
         self._weeks_done += 1
         now = perf_counter()
@@ -54,8 +52,7 @@ class CampaignProgress:
         hit_rate = safe_ratio(cache_hits, cache_hits + cache_misses)
         print(
             f"[progress] week {self._weeks_done}/{self.total_weeks}"
-            f"  {rate:,.0f} dom/s  cache {hit_rate:.2f}"
-            f"  retries {retries}  fallbacks {fallbacks}",
+            f"  {rate:,.0f} dom/s  cache {hit_rate:.2f}",
             file=self.stream,
             flush=True,
         )

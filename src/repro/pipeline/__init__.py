@@ -4,13 +4,7 @@ from repro.pipeline.campaign import Campaign, campaign_weeks, run_campaign
 from repro.pipeline.checkpoint import CampaignCheckpointer, campaign_checkpoint_key
 from repro.pipeline.engine import ScanEngine, ScanPhaseStats, ShardResultMissing
 from repro.pipeline.runs import WeeklyRun, run_weekly_scan, run_weekly_scan_reference
-from repro.pipeline.sharding import (
-    ShardedScanEngine,
-    ShmPoolScanEngine,
-    SupervisionStats,
-    Ticket,
-    plan_tickets,
-)
+from repro.pipeline.sharding import ShardedScanEngine
 from repro.pipeline.toplists import merged_toplist_domains
 from repro.pipeline.vantage import VantageRun, run_distributed
 
@@ -24,10 +18,6 @@ __all__ = [
     "ScanPhaseStats",
     "ShardResultMissing",
     "ShardedScanEngine",
-    "ShmPoolScanEngine",
-    "SupervisionStats",
-    "Ticket",
-    "plan_tickets",
     "WeeklyRun",
     "run_weekly_scan",
     "run_weekly_scan_reference",

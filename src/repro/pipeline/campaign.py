@@ -73,8 +73,11 @@ def campaign_weeks(world: World, cadence_weeks: int = 4) -> list[Week]:
 
     Shared by :func:`run_campaign` and callers that need the series
     length up front (the CLI sizes its ``--progress`` heartbeat from
-    it before the campaign starts).
+    it before the campaign starts).  ``cadence_weeks`` must be >= 1:
+    a zero step would never reach the reference week.
     """
+    if cadence_weeks < 1:
+        raise ValueError(f"cadence_weeks must be >= 1, got {cadence_weeks}")
     weeks = []
     week = world.config.start_week
     while week <= world.config.reference_week:
@@ -95,17 +98,12 @@ def run_campaign(
     run_tracebox: bool = False,
     plugins: tuple[str, ...] | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    ticket_sites: int | None = None,
     backend: str = "store",
     phase_stats: "ScanPhaseStats | None" = None,
     exchange_cache: bool = True,
     checkpoint_dir: "str | os.PathLike | None" = None,
     resume: bool = False,
     fault_plan: "FaultPlan | None" = None,
-    shard_timeout: float | None = None,
-    max_shard_retries: int | None = None,
-    engine=None,
     telemetry=None,
     progress=None,
 ) -> Campaign:
@@ -134,8 +132,8 @@ def run_campaign(
 
     ``plugins`` selects the measurement plugins every week runs
     (default: just the core ``ecn`` scan; see :mod:`repro.plugins`).
-    Plugin variants ride the same executor, exchange cache, checkpoint
-    and supervision machinery as the core scan; their merged rows land
+    Plugin variants ride the same executor, exchange cache and
+    checkpoint machinery as the core scan; their merged rows land
     on each run's ``plugin_rows`` (and as per-plugin store columns
     under the store backend).  The ``trace`` plugin — like
     ``run_tracebox``, which it subsumes — is incompatible with
@@ -155,37 +153,18 @@ def run_campaign(
     weeks are byte-identical to executed ones (records fill in the same
     order, the clock sums the same floats), so an interrupted campaign
     resumes to exactly the uninterrupted result.  Checkpointing
-    requires ``shards`` or ``workers`` — only per-site RNG substreams
-    survive skipping weeks; the shared reference stream's position
-    would diverge — and is incompatible with ``run_tracebox`` (trace
-    results live outside the checkpointed entries).  Shard count and
-    executor may differ between the original run and the resume.
+    requires ``shards`` — only per-site RNG substreams survive skipping
+    weeks; the shared reference stream's position would diverge — and
+    is incompatible with ``run_tracebox`` (trace results live outside
+    the checkpointed entries).  The shard count may differ between the
+    original run and the resume.
 
-    ``workers`` switches the site phase to a
-    :class:`~repro.pipeline.sharding.ShmPoolScanEngine`: the encoded
-    world is published to one shared-memory segment, a persistent pool
-    of that many forked workers decodes it zero-copy at startup, and
-    the campaign's weeks are prefetched as (site-range, week-range)
-    tickets so the whole series costs one dispatch round trip per
-    worker (``ticket_sites`` overrides the site-range size).  Mutually
-    exclusive with ``shards``; same per-site RNG semantics, same
-    checkpoint compatibility — a campaign
-    checkpointed under ``shards`` resumes under ``workers`` and vice
-    versa.
-
-    ``engine`` supplies a pre-built engine instead (closing stays the
-    caller's job — this is how benchmarks keep one warm pool across
-    repeated campaigns); it is mutually exclusive with the
-    engine-construction parameters above.
-
-    ``shard_timeout`` / ``max_shard_retries`` tune the pool's worker
-    supervision (docs/robustness.md) and therefore require ``workers``;
-    ``fault_plan`` injects deterministic faults (tests only,
-    :mod:`repro.faults`).
+    ``fault_plan`` injects deterministic faults — a campaign abort
+    between weeks, a corrupted checkpoint write (tests and the fault
+    smoke only, :mod:`repro.faults`).
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) instruments the run:
-    campaign → week → phase spans on the registry's tracer, worker
-    shard/ticket spans re-parented under their dispatching week, and
+    campaign → week → phase → shard spans on the registry's tracer, and
     the campaign's counters published into the registry at the end
     (docs/observability.md).  Instrumentation never changes results —
     golden tests pin instrumented campaigns byte-identical to
@@ -195,7 +174,7 @@ def run_campaign(
     is restored afterwards, so a shared ``world.scan_engine()`` never
     leaks instrumentation into later runs.
     """
-    from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
+    from repro.pipeline.sharding import ShardedScanEngine
     from repro.plugins.registry import resolve_plugins
 
     plugin_names = resolve_plugins(
@@ -205,37 +184,11 @@ def run_campaign(
         plugin_names = plugin_names + ("trace",)
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
-    if shards is not None and workers is not None:
-        raise ValueError(
-            "shards and workers are mutually exclusive: shards=N selects the "
-            "in-process sharded engine, workers=N the shared-memory pool"
-        )
-    if ticket_sites is not None and workers is None:
-        raise ValueError(
-            "ticket_sites has no effect without workers; pass workers=N to "
-            "run the shared-memory pool"
-        )
-    if engine is not None:
-        if shards is not None or workers is not None:
-            raise ValueError(
-                "engine= is mutually exclusive with shards/workers; configure "
-                "the supplied engine directly"
-            )
-        if shard_timeout is not None or max_shard_retries is not None:
-            raise ValueError(
-                "engine= is mutually exclusive with shard_timeout/"
-                "max_shard_retries; configure the supplied engine directly"
-            )
     if checkpoint_dir is not None:
-        if (
-            shards is None
-            and workers is None
-            and not isinstance(engine, (ShardedScanEngine, ShmPoolScanEngine))
-        ):
+        if shards is None:
             raise ValueError(
-                "checkpointing requires a sharded campaign (shards=N or "
-                "workers=N): only per-site RNG substreams are valid across "
-                "resumed weeks"
+                "checkpointing requires a sharded campaign (shards=N): only "
+                "per-site RNG substreams are valid across resumed weeks"
             )
         if run_tracebox:
             raise ValueError(
@@ -247,32 +200,9 @@ def run_campaign(
                 "checkpointing is incompatible with the trace plugin: trace "
                 "results are not part of the checkpointed site phase"
             )
-    if workers is None and (shard_timeout is not None or max_shard_retries is not None):
-        raise ValueError(
-            "shard_timeout/max_shard_retries have no effect without workers: "
-            "only the shared-memory pool dispatches supervised work; pass "
-            "workers=N"
-        )
     if weeks is None:
         weeks = campaign_weeks(world, cadence_weeks)
-    owns_engine = engine is None
-    supervision = {}
-    if shard_timeout is not None:
-        supervision["shard_timeout"] = shard_timeout
-    if max_shard_retries is not None:
-        supervision["max_shard_retries"] = max_shard_retries
-    if engine is not None:
-        pass  # caller-built engine: caller configures and closes it
-    elif workers is not None:
-        engine = ShmPoolScanEngine(
-            world,
-            workers=workers,
-            ticket_sites=ticket_sites,
-            exchange_cache=exchange_cache,
-            fault_plan=fault_plan,
-            **supervision,
-        )
-    elif shards is None:
+    if shards is None:
         if exchange_cache:
             engine = world.scan_engine()
         else:
@@ -305,31 +235,19 @@ def run_campaign(
     # ASN/org walk).
     world.ensure_site_attribution()
     world.ensure_routes(vantage_id)
-    # Resolve which weeks replay from checkpoints *before* execution
-    # starts, so a shm-pool engine can prefetch tickets for exactly the
-    # weeks that will actually compute — the whole campaign then costs
-    # one ticket round trip per worker instead of one per week.
     preloaded: dict[Week, object] = {}
     if checkpointer is not None and resume:
         for week in dict.fromkeys(weeks):
             preloaded[week] = checkpointer.load(week)
-    if isinstance(engine, ShmPoolScanEngine):
-        compute_weeks = [week for week in weeks if preloaded.get(week) is None]
-        if compute_weeks:
-            engine.prefetch_weeks(
-                compute_weeks, vantage_id, populations=populations,
-                plugins=plugin_names,
-            )
     campaign = Campaign()
     # Instrumentation setup.  phase_stats doubles as the registry
     # source: when the caller did not pass one, an internal split
-    # accumulates the same counters for publication.  Baselines are
-    # snapshotted so a caller-supplied stats object (or a warm engine)
-    # publishes only THIS campaign's deltas.
+    # accumulates the same counters for publication.  The baseline is
+    # snapshotted so a caller-supplied stats object publishes only THIS
+    # campaign's deltas.
     stats = phase_stats
     tracer = None
     stats_base = None
-    supervision_base = None
     prior_telemetry = engine.telemetry
     if telemetry is not None:
         if stats is None:
@@ -337,8 +255,6 @@ def run_campaign(
 
             stats = ScanPhaseStats()
         stats_base = replace(stats)
-        if isinstance(engine, ShmPoolScanEngine):
-            supervision_base = engine.supervision.snapshot()
         engine.telemetry = telemetry
         tracer = telemetry.tracer
     campaign_span = (
@@ -399,17 +315,10 @@ def run_campaign(
                 domains_scanned += len(run.observations)
             if progress is not None:
                 cache = engine.exchange_cache
-                sup = (
-                    engine.supervision
-                    if isinstance(engine, ShmPoolScanEngine)
-                    else None
-                )
                 progress.week_done(
                     domains=domains_scanned,
                     cache_hits=cache.stats.hits if cache is not None else 0,
                     cache_misses=cache.stats.misses if cache is not None else 0,
-                    retries=sup.retries if sup is not None else 0,
-                    fallbacks=sup.fallbacks if sup is not None else 0,
                 )
             if fault_plan is not None:
                 fault_plan.after_week(week)
@@ -424,22 +333,9 @@ def run_campaign(
             delta.publish(registry)
             registry.add_counter("campaign.weeks", weeks_done)
             registry.add_counter("campaign.domains", domains_scanned)
-            if supervision_base is not None:
-                from repro.pipeline.sharding import SupervisionStats
-
-                now = engine.supervision.snapshot()
-                SupervisionStats(
-                    *(a - b for a, b in zip(now, supervision_base, strict=True))
-                ).publish(registry)
     finally:
         if tracer is not None:
             campaign_span.attrs["domains"] = domains_scanned
             tracer.end(campaign_span)
         engine.telemetry = prior_telemetry
-        # Caller-supplied engines outlive the campaign (warm pools are
-        # the point of passing one in); a self-built pool engine tears
-        # down here — on success, injected aborts and crashed workers
-        # alike, which is what keeps shared segments from leaking.
-        if owns_engine and isinstance(engine, ShmPoolScanEngine):
-            engine.close()
     return campaign

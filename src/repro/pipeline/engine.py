@@ -34,9 +34,8 @@ replay byte-identically instead of re-simulating the connection.
 
 :meth:`ScanEngine.site_events` exposes the ordered site phase as data.
 :class:`~repro.pipeline.sharding.ShardedScanEngine` partitions it into
-inline shards and :class:`~repro.pipeline.sharding.ShmPoolScanEngine`
-across pool workers; the ``site_rng`` mode below is what makes that
-sound:
+inline shards, and campaign checkpoints replay it from recorded
+entries; the ``site_rng`` mode below is what makes that sound:
 
 * ``"shared"`` (default) — exchanges draw from the world's one
   sequential network RNG stream and advance the one shared clock, in
@@ -45,8 +44,8 @@ sound:
   :class:`~repro.util.rng.RngStream` seeded deterministically from
   (world seed, week, vantage, family, site, kind) and runs against its
   own virtual clock.  Exchanges become order-independent, so any
-  partition of the site phase — serial, shards, processes, any worker
-  permutation — produces identical results.
+  partition of the site phase — serial, any shard count, any shard
+  order — produces identical results.
 """
 
 from __future__ import annotations
@@ -217,16 +216,7 @@ class ScanPhaseStats:
     (:mod:`repro.exchange`) over the covered site phases: ``hits``
     replayed a cached outcome, ``misses`` ran fresh and populated the
     cache, ``uncacheable`` ran fresh because the path may draw
-    randomness.  Shm-pool runs merge worker-side counters in before
-    the site phase ends, so the split is executor-independent.
-
-    The ``shard_*`` counters account supervised pool execution
-    (:class:`~repro.pipeline.sharding.ShmPoolScanEngine`):
-    ``shard_timeouts`` ticket attempts that exceeded the deadline (hung
-    or dead worker), ``shard_failures`` attempts that raised (worker
-    crash, corrupt result buffer), ``shard_retries`` recovery
-    executions — pool re-dispatches plus the final inline fallback.  A
-    healthy run reports zeros; the bench gate pins that.
+    randomness.
     """
 
     site_phase_seconds: float = 0.0
@@ -235,9 +225,6 @@ class ScanPhaseStats:
     exchange_cache_hits: int = 0
     exchange_cache_misses: int = 0
     exchange_cache_uncacheable: int = 0
-    shard_retries: int = 0
-    shard_timeouts: int = 0
-    shard_failures: int = 0
 
     @property
     def exchange_cache_hit_rate(self) -> float:
@@ -253,9 +240,9 @@ class ScanPhaseStats:
 
         The registry namespace (docs/observability.md) supersedes the
         ad-hoc stdout prints: phase seconds land as gauges under
-        ``campaign.phase.*``, cache and supervision counters under
-        ``campaign.exchange_cache.*`` / ``campaign.supervision.*``,
-        with the hit rate as a derived ratio over the counters.
+        ``campaign.phase.*``, cache counters under
+        ``campaign.exchange_cache.*``, with the hit rate as a derived
+        ratio over the counters.
         """
         registry.gauge("campaign.phase.site_seconds").set(self.site_phase_seconds)
         registry.gauge("campaign.phase.attribution_seconds").set(self.attribution_seconds)
@@ -274,21 +261,12 @@ class ScanPhaseStats:
             "campaign.exchange_cache.hits",
             "campaign.exchange_cache.attempts",
         )
-        # Supervision counters publish from the engine's richer
-        # SupervisionStats (which also has fallbacks), not from the
-        # shard_* mirror here — one source per registry name.
 
     def merge_cache_counters(self, other: "ScanPhaseStats") -> None:
         """Fold another split's exchange-cache counters into this one."""
         self.exchange_cache_hits += other.exchange_cache_hits
         self.exchange_cache_misses += other.exchange_cache_misses
         self.exchange_cache_uncacheable += other.exchange_cache_uncacheable
-
-    def merge_supervision_counters(self, other: "ScanPhaseStats") -> None:
-        """Fold another split's shard supervision counters into this one."""
-        self.shard_retries += other.shard_retries
-        self.shard_timeouts += other.shard_timeouts
-        self.shard_failures += other.shard_failures
 
 
 class ScanEngine:
@@ -311,7 +289,7 @@ class ScanEngine:
     """
 
     #: The ``site_rng`` mode :meth:`run_week` resolves ``None`` to.
-    #: Sharded and pool engines override this with ``"per-site"`` —
+    #: The sharded engine overrides this with ``"per-site"`` —
     #: shared-stream semantics cannot be partitioned.
     default_site_rng = "shared"
 
@@ -661,8 +639,8 @@ class ScanEngine:
         derived from the same site/week/route state, its distinct
         client config hashes to distinct cache keys, and hit / miss /
         uncacheable behave exactly as for the core scan — which is how
-        variants inherit caching, sharding, checkpointing and the
-        shm pool without any executor knowing plugins exist.
+        variants inherit caching, sharding and checkpointing without
+        any executor knowing plugins exist.
         """
         world = self.world
         authority = f"www.{authority_domain}"
@@ -702,8 +680,8 @@ class ScanEngine:
         """The deterministic RNG substream of one site event.
 
         Seeded from everything that identifies the exchange — the shard
-        layout, executor, and worker order never enter the seed, which is
-        why any partition of the site phase reproduces the same draws.
+        layout and execution order never enter the seed, which is why
+        any partition of the site phase reproduces the same draws.
         Plugin-variant events use their registry tag
         (``plugin/variant``), so a variant's draws are independent of
         the core scan's and of every other variant's.
@@ -794,12 +772,9 @@ class ScanEngine:
         site_rng: str,
         entry_sink: list | None = None,
         replay: dict[tuple[int, int], tuple[object, float]] | None = None,
-        populations: Sequence[str] | None = None,
-        include_tcp: bool = False,
-        plugins: tuple[str, ...] | None = None,
         plugin_rows: dict | None = None,
     ) -> None:
-        """Run all site events (serially; overridden by the sharded/pool engines).
+        """Run all site events (serially; overridden by the sharded engine).
 
         ``entry_sink``, when given, collects ``(site_index, kind,
         result, elapsed)`` entries in event order — the unit campaign
@@ -808,13 +783,7 @@ class ScanEngine:
         execution with previously produced entries (a rehydrated
         checkpoint); both require ``site_rng="per-site"`` because
         shared-stream draws depend on the events actually executing.
-
-        ``populations``/``include_tcp``/``plugins`` restate the
-        schedule parameters that produced ``events``: this serial
-        engine derives nothing from them, but the shm-pool engine
-        needs them to describe the week to workers that rebuild the
-        event list themselves.  ``plugin_rows`` collects variant rows
-        keyed ``(site_index, kind)``.
+        ``plugin_rows`` collects variant rows keyed ``(site_index, kind)``.
         """
         if site_rng == "shared":
             if entry_sink is not None or replay is not None:
@@ -1037,12 +1006,6 @@ class ScanEngine:
             site_span = tracer.begin("site", "phase", **span_attrs)
         else:
             site_span = None
-        supervision = getattr(self, "supervision", None)
-        sup_base = (
-            supervision.snapshot()
-            if supervision is not None and phase_stats is not None
-            else None
-        )
         self._execute_site_phase(
             events,
             week,
@@ -1054,18 +1017,10 @@ class ScanEngine:
             site_rng,
             entry_sink,
             replay,
-            populations=tuple(populations),
-            include_tcp=include_tcp,
-            plugins=selection.names,
             plugin_rows=plugin_rows,
         )
         if tracer is not None:
             tracer.end(site_span)
-        if sup_base is not None:
-            sup_now = supervision.snapshot()
-            phase_stats.shard_retries += sup_now[0] - sup_base[0]
-            phase_stats.shard_timeouts += sup_now[1] - sup_base[1]
-            phase_stats.shard_failures += sup_now[2] - sup_base[2]
         if phase_stats is not None:
             now = perf_counter()
             phase_stats.site_phase_seconds += now - phase_start

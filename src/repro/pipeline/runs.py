@@ -13,9 +13,9 @@ semantics and anchors the golden equivalence test.
 The per-site records below (:func:`ensure_site_record` filling
 ``WeeklyRun.site_records``) are also the unit of crash recovery: a
 week's ordered ``(site_index, kind, result, elapsed)`` site-phase
-entries are what campaign checkpoints persist and what supervised
-shard retries re-produce byte-identically
-(:mod:`repro.pipeline.checkpoint`, docs/robustness.md).
+entries are what campaign checkpoints persist and replay
+byte-identically (:mod:`repro.pipeline.checkpoint`,
+docs/robustness.md).
 """
 
 from __future__ import annotations

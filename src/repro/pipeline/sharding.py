@@ -1,142 +1,44 @@
-"""Partitioned site-phase execution: inline shards and the shm pool.
+"""Partitioned site-phase execution: inline shards.
 
 :class:`ShardedScanEngine` partitions the ordered site phase of a weekly
 run into ``shards`` groups and executes each group independently,
-in-process.  :class:`ShmPoolScanEngine` is the one multi-process
-executor: the encoded world snapshot is published **once** to a
-shared-memory segment (:mod:`repro.util.shm`), a persistent pool of
-forked workers decodes it zero-copy at startup, and work travels as
-tiny (site-range, week-range) :class:`Ticket` descriptors — the
-long-lived worker/queue architecture PATHspider uses for its
-path-transparency scans, applied to the weekly site phase.
-Attribution, tracebox and analysis stay central: shards and workers
-only ever produce per-site scan records.
+in-process, one after another.  Attribution, tracebox and analysis stay
+central: shards only ever produce per-site scan records.
 
 Determinism is the whole design.  Every site event draws from an RNG
 substream seeded by (world seed, week, vantage, family, site, kind) —
 :meth:`ScanEngine.event_stream` — and runs against a private virtual
 clock, so no exchange can observe another's draws or timing.  As a
-consequence the merged output is *identical* for any shard count, any
-worker count or ticket size, and any execution order, and equals the
-serial :class:`~repro.pipeline.engine.ScanEngine` run in
-``site_rng="per-site"`` mode (golden-tested in
-``tests/test_pipeline_sharding.py`` and ``tests/test_shm_pool.py``).
-Relative to the default ``"shared"`` mode the per-site substreams
-realise a different (equally valid) sequence of stochastic loss draws;
+consequence the merged output is *identical* for any shard count and
+any execution order, and equals the serial
+:class:`~repro.pipeline.engine.ScanEngine` run in ``site_rng="per-site"``
+mode (golden-tested in ``tests/test_pipeline_sharding.py``).  Relative
+to the default ``"shared"`` mode the per-site substreams realise a
+different (equally valid) sequence of stochastic loss draws;
 epoch-level behaviour — what the paper's tables and figures aggregate
 — is the same.
 
-Pool tickets are **supervised** (docs/robustness.md): every ticket is
-dispatched asynchronously with a per-attempt deadline
-(``shard_timeout`` per week it covers).  A ticket whose result does not
-arrive in time — the worker hung, or died and took the task with it —
-or whose result buffer fails the codec checksum, or whose attempt
-raised, is re-dispatched up to ``max_shard_retries`` times with
-exponential backoff; a ticket that exhausts its retries is re-executed
-*inline* in the parent, so a wedged pool can delay a run but never lose
-results.  Determinism makes this sound: a retried ticket produces
-byte-identical entries, so recovered runs equal clean runs exactly.
-Results cross the process boundary as **one codec buffer per
-ticket-week** (:mod:`repro.store.codec`), and the central merge
-validates coverage before touching any record, raising the typed
-:class:`~repro.pipeline.engine.ShardResultMissing` on a gap instead of
-a bare ``KeyError``.
+The per-site substreams are also what makes a campaign checkpointable:
+a week's ``(site, kind, result, elapsed)`` entries replay through the
+same validated central merge (:meth:`ScanEngine._apply_replay`) that
+joins the shards, raising the typed
+:class:`~repro.pipeline.engine.ShardResultMissing` on a coverage gap
+instead of a bare ``KeyError``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.obs.spans import Tracer, decode_obs_blob, encode_obs_blob
 from repro.pipeline.engine import (
     QUIC_EVENT,
     TCP_EVENT,
     ScanEngine,
     SiteEvent,
 )
-from repro.plugins.registry import DEFAULT_PLUGINS, resolve_plugins
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.tcp_scan import TcpScanConfig
-from repro.store.codec import (
-    CodecCorruption,
-    decode_shard_payload_obs,
-    encode_shard_results,
-)
 from repro.util.weeks import Week
-
-def default_shards() -> int:
-    """Shard count used when none is given: the machine's CPU count,
-    capped — site phases at common scales do not amortise more workers."""
-    return max(1, min(8, os.cpu_count() or 1))
-
-
-@dataclass
-class SupervisionStats:
-    """Lifetime ticket-supervision counters of one shm-pool engine.
-
-    ``timeouts`` counts attempts whose result missed the deadline (hung
-    or dead worker), ``failures`` attempts that raised or returned a
-    corrupt buffer, ``retries`` every recovery execution (pool
-    re-dispatches *and* the inline fallback), ``fallbacks`` just the
-    inline re-executions.  A clean run leaves all four at zero.
-    """
-
-    retries: int = 0
-    timeouts: int = 0
-    failures: int = 0
-    fallbacks: int = 0
-
-    def snapshot(self) -> tuple[int, int, int, int]:
-        return (self.retries, self.timeouts, self.failures, self.fallbacks)
-
-    def publish(self, registry) -> None:
-        """Publish into a registry under ``campaign.supervision.*``.
-
-        The counters materialise even at zero: the CLI prints all four
-        for every supervised run, so the metrics report must reproduce
-        them — an absent counter and a clean run are different facts.
-        """
-        registry.counter("campaign.supervision.retries").value += self.retries
-        registry.counter("campaign.supervision.timeouts").value += self.timeouts
-        registry.counter("campaign.supervision.failures").value += self.failures
-        registry.counter("campaign.supervision.fallbacks").value += self.fallbacks
-
-
-def _ingest_obs(telemetry, blob: bytes) -> None:
-    """Fold one worker obs blob into the parent's telemetry.
-
-    Shipped spans re-parent under the tracer's *current* span — the
-    site-phase span of the week being merged — so every worker
-    ticket span hangs off the week that dispatched it.  Counter
-    deltas (``worker.*``) accumulate into the registry.
-    """
-    spans, deltas = decode_obs_blob(blob)
-    telemetry.tracer.adopt(spans, telemetry.tracer.current())
-    if deltas:
-        telemetry.registry.apply_counter_deltas(deltas)
-
-
-def _worker_obs_blob(tracer: Tracer, cache_delta: tuple[int, int, int]) -> bytes:
-    """Encode a worker's spans + exchange-cache delta as one obs blob.
-
-    The delta rides under ``worker.exchange_cache.*`` — accounting of
-    what *worker processes* executed, distinct from the merged
-    ``campaign.exchange_cache.*`` counters folded from the trailer
-    varints (which also cover inline and replayed work).
-    """
-    deltas = {}
-    hits, misses, uncacheable = cache_delta
-    if hits:
-        deltas["worker.exchange_cache.hits"] = hits
-    if misses:
-        deltas["worker.exchange_cache.misses"] = misses
-    if uncacheable:
-        deltas["worker.exchange_cache.uncacheable"] = uncacheable
-    return encode_obs_blob(tracer.spans, deltas)
 
 
 class ShardedScanEngine(ScanEngine):
@@ -147,8 +49,7 @@ class ShardedScanEngine(ScanEngine):
     engine so campaigns pay planning once no matter which engine
     executes them.  ``site_rng`` defaults to ``"per-site"``
     (:attr:`default_site_rng`) — shared-stream semantics cannot be
-    partitioned.  Shards execute in-process, one after another; the
-    multi-process executor is :class:`ShmPoolScanEngine`.
+    partitioned.  Shards execute in-process, one after another.
     """
 
     default_site_rng = "per-site"
@@ -157,13 +58,13 @@ class ShardedScanEngine(ScanEngine):
         self,
         world,
         *,
-        shards: int | None = None,
+        shards: int,
         shard_order: Sequence[int] | None = None,
         exchange_cache: bool = True,
     ):
         super().__init__(world, exchange_cache=exchange_cache)
-        self.shards = shards if shards is not None else default_shards()
-        if self.shards < 1:
+        self.shards = shards
+        if shards < 1:
             raise ValueError("shards must be >= 1")
         #: Test seam: the order shards are *executed* in.  Results are
         #: order-independent; the golden tests permute this.
@@ -198,9 +99,6 @@ class ShardedScanEngine(ScanEngine):
         site_rng,
         entry_sink=None,
         replay=None,
-        populations=None,
-        include_tcp=False,
-        plugins=None,
         plugin_rows=None,
     ) -> None:
         if site_rng == "shared":
@@ -223,7 +121,7 @@ class ShardedScanEngine(ScanEngine):
         for shard_index in order:
             span = (
                 tracer.begin(
-                    "shard", "worker",
+                    "shard", "shard",
                     shard=shard_index, week=str(week),
                     events=len(shards[shard_index]),
                 )
@@ -260,10 +158,9 @@ def _execute_entries(
 ) -> list[tuple[int, int, object, float]]:
     """Run events on their per-site substreams; returns checkpoint entries.
 
-    The one definition of shard/ticket execution: inline shards, the
-    shm-pool worker and its inline fallback all call exactly this,
-    which is what keeps every executor bit-identical to the serial
-    per-site engine.
+    The one definition of shard execution, built on the same
+    :meth:`ScanEngine._run_event_per_site` as the serial per-site mode,
+    which is what keeps every partition bit-identical to it.
     """
     out: list[tuple[int, int, object, float]] = []
     records: dict = {}
@@ -280,649 +177,4 @@ def _execute_entries(
         else:
             result = plugin_rows[(event.site_index, event.kind)]
         out.append((event.site_index, event.kind, result, elapsed))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Shared-memory persistent worker pool
-# ----------------------------------------------------------------------
-def default_workers() -> int:
-    """Worker count used when none is given (same cap as shards)."""
-    return default_shards()
-
-
-@dataclass(frozen=True)
-class Ticket:
-    """One unit of pool work: a site-index range x a week range.
-
-    ``site_lo`` is inclusive, ``site_hi`` exclusive.  Tickets carry no
-    events and no world state — workers rebuild the week's event list
-    from their own shared-memory world and filter it to the site range,
-    so a ticket pickles in microseconds regardless of scale.
-    """
-
-    index: int
-    site_lo: int
-    site_hi: int
-    weeks: tuple[Week, ...]
-
-
-def plan_tickets(
-    site_count: int,
-    weeks: Sequence[Week],
-    *,
-    ticket_sites: int,
-    ticket_weeks: int | None = None,
-) -> list[Ticket]:
-    """Tile ``[0, site_count) x weeks`` into tickets.
-
-    Pure and total: every (site, week) cell lands in exactly one ticket
-    (property-tested in ``tests/test_shm_pool.py``), tickets are emitted
-    in (site range, week range) order, and the tiling depends only on
-    the arguments — merge order cannot matter because ranges never
-    overlap.  ``ticket_weeks=None`` puts all weeks on one ticket per
-    site range (the campaign default: one round trip per worker).
-    """
-    if site_count < 0:
-        raise ValueError("site_count must be >= 0")
-    if ticket_sites < 1:
-        raise ValueError("ticket_sites must be >= 1")
-    weeks = tuple(weeks)
-    if ticket_weeks is None:
-        ticket_weeks = max(1, len(weeks))
-    if ticket_weeks < 1:
-        raise ValueError("ticket_weeks must be >= 1")
-    tickets: list[Ticket] = []
-    index = 0
-    for site_lo in range(0, site_count, ticket_sites):
-        site_hi = min(site_lo + ticket_sites, site_count)
-        for week_lo in range(0, len(weeks), ticket_weeks):
-            tickets.append(
-                Ticket(index, site_lo, site_hi, weeks[week_lo : week_lo + ticket_weeks])
-            )
-            index += 1
-    return tickets
-
-
-class _TicketState:
-    """Parent-side bookkeeping for one dispatched ticket."""
-
-    __slots__ = ("ticket", "spec", "attempt", "result", "done")
-
-    def __init__(self, ticket: Ticket, spec: tuple, result):
-        self.ticket = ticket
-        self.spec = spec
-        self.attempt = 0
-        self.result = result
-        self.done = False
-
-
-class ShmPoolScanEngine(ScanEngine):
-    """Persistent fork-pool engine over a shared-memory world.
-
-    The campaign world is encoded **once** into a
-    :class:`repro.util.shm.SharedSegment`, a pool of ``workers``
-    processes attaches at startup (each decodes its world zero-copy
-    from the mapped buffer and hydrates lazy sections on demand), and
-    work travels as :class:`Ticket` descriptors — a site range and a
-    week range, a few dozen bytes.  Workers stay warm across weeks:
-    their exchange caches, scan plans and event lists amortise over the
-    whole campaign, and a worker that has already computed a ticket
-    replays the recorded result buffers immediately (per-site RNG
-    substreams make recomputation and replay byte-identical, so this is
-    safe by the same argument that makes retries safe).  Scan plans are
-    shared with the world's serial engine, and ``site_rng`` defaults to
-    ``"per-site"`` as for :class:`ShardedScanEngine`.
-
-    Supervision works at ticket granularity: each ticket attempt has
-    ``shard_timeout`` seconds *per week it covers* to deliver buffers
-    that decode cleanly, failures re-dispatch with ``retry_backoff``
-    exponential backoff up to ``max_shard_retries`` times, and an
-    exhausted ticket re-executes inline in the parent.
-    ``fault_plan`` (:class:`repro.faults.FaultPlan`, tests only) injects
-    deterministic worker-side faults.  ``run_week`` folds the
-    per-week :class:`SupervisionStats` deltas into the caller's
-    ``phase_stats``.  Merging goes through the same validated
-    :func:`ScanEngine._apply_replay` path as every other executor.
-    ``close()`` — reached by the campaign loop's ``finally`` on
-    success, crash and abort alike — tears down the pool and unlinks
-    the shared segment; the leak regression tests scan ``/dev/shm`` to
-    hold that line.
-    """
-
-    default_site_rng = "per-site"
-
-    #: Parent replay-cache bound, matching :attr:`_ShmWorker.MEMO_LIMIT`:
-    #: large enough for every (week, spec) a campaign produces, small
-    #: enough that a long-lived engine cannot grow without limit.
-    REPLAY_LIMIT = 64
-
-    def __init__(
-        self,
-        world,
-        *,
-        workers: int | None = None,
-        ticket_sites: int | None = None,
-        ticket_weeks: int | None = None,
-        exchange_cache: bool = True,
-        shard_timeout: float = 60.0,
-        max_shard_retries: int = 2,
-        retry_backoff: float = 0.05,
-        fault_plan=None,
-    ):
-        from repro.util.shm import fork_available
-
-        if not fork_available():  # pragma: no cover - POSIX-only repo CI
-            raise RuntimeError(
-                "ShmPoolScanEngine needs the fork start method (POSIX); "
-                "use inline sharding (shards=N) on this platform"
-            )
-        super().__init__(world, exchange_cache=exchange_cache)
-        workers = workers if workers is not None else default_workers()
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive")
-        if max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be >= 0")
-        if ticket_sites is not None and ticket_sites < 1:
-            raise ValueError("ticket_sites must be >= 1")
-        if ticket_weeks is not None and ticket_weeks < 1:
-            raise ValueError("ticket_weeks must be >= 1")
-        #: Pool size; also the default tiling denominator (one site
-        #: range per worker when ``ticket_sites`` is not given).
-        self.workers = workers
-        self.ticket_sites = ticket_sites
-        self.ticket_weeks = ticket_weeks
-        #: Per-attempt, per-week ticket result deadline (seconds).
-        self.shard_timeout = shard_timeout
-        #: Pool re-dispatches per ticket before the inline fallback.
-        self.max_shard_retries = max_shard_retries
-        #: Base of the exponential re-dispatch backoff (seconds).
-        self.retry_backoff = retry_backoff
-        #: Deterministic fault-injection hooks; ``None`` in production.
-        self.fault_plan = fault_plan
-        #: Lifetime supervision counters (``run_week`` folds per-week
-        #: deltas into the caller's :class:`ScanPhaseStats`).
-        self.supervision = SupervisionStats()
-        self._plans = world.scan_engine()._plans  # share plan cache
-        self._pool = None
-        self._segment = None
-        #: (week, spec) -> tickets whose ranges cover that week.
-        self._pending: dict[tuple, list[_TicketState]] = {}
-        #: (week, spec) -> merged {(site, kind): (result, elapsed)}.
-        self._collected: dict[tuple, dict] = {}
-        #: (week, spec) -> worker exchange-cache stats folded so far.
-        self._collected_stats: dict[tuple, tuple[int, int, int]] = {}
-        #: (week, spec) -> worker obs blobs harvested but not yet
-        #: ingested.  A ticket may cover many weeks while the tracer is
-        #: inside *one* week's site phase, so blobs wait here until the
-        #: week they describe is merged (and its span is current).
-        self._collected_obs: dict[tuple, list[bytes]] = {}
-        #: (week, spec) -> (merged entries, stats): weeks this parent
-        #: already decoded once.  The parent-side peer of the worker
-        #: ticket memo — a persistent engine serving repeat campaigns
-        #: replays straight from here, with no dispatch, IPC or decode
-        #: (results are immutable and :meth:`_apply_replay` only reads,
-        #: so sharing the merged dict across runs is safe).  Bounded
-        #: FIFO like the worker memo.
-        self._replayed: dict[tuple, tuple[dict, tuple[int, int, int]]] = {}
-
-    # ------------------------------------------------------------------
-    def _site_span(self) -> int:
-        if self.ticket_sites is not None:
-            return self.ticket_sites
-        return max(1, -(-len(self.world.sites) // self.workers))
-
-    @staticmethod
-    def _spec(
-        vantage_id, ip_version, populations, include_tcp, quic_config, tcp_config,
-        plugins,
-    ):
-        # Frozen-dataclass configs hash and compare by value, so a spec
-        # tuple is usable as a dict key and matches across run_week /
-        # prefetch_weeks calls that resolved the same defaults.
-        return (
-            vantage_id, ip_version, tuple(populations), include_tcp,
-            quic_config, tcp_config, tuple(plugins),
-        )
-
-    def prefetch_weeks(
-        self,
-        weeks: Sequence[Week],
-        vantage_id: str = "main-aachen",
-        *,
-        ip_version: int = 4,
-        populations: Sequence[str] = ("cno", "toplist"),
-        include_tcp: bool = False,
-        quic_config: QuicScanConfig | None = None,
-        tcp_config: TcpScanConfig | None = None,
-        plugins: Sequence[str] | None = None,
-    ) -> int:
-        """Dispatch tickets covering ``weeks`` ahead of their run_week.
-
-        The campaign calls this once with every week it will execute, so
-        the whole campaign costs one ticket round trip per worker; weeks
-        already pending or collected under the same spec are skipped.
-        Returns the number of tickets dispatched.
-        """
-        quic_config = quic_config or QuicScanConfig(ip_version=ip_version)
-        tcp_config = tcp_config or TcpScanConfig(ip_version=ip_version)
-        names = resolve_plugins(tuple(plugins) if plugins is not None else None).names
-        spec = self._spec(
-            vantage_id, ip_version, populations, include_tcp, quic_config,
-            tcp_config, names,
-        )
-        todo = [
-            week
-            for week in dict.fromkeys(weeks)
-            if (week, spec) not in self._pending
-            and (week, spec) not in self._collected
-            and (week, spec) not in self._replayed
-        ]
-        if not todo:
-            return 0
-        return self._dispatch_tickets(tuple(todo), spec)
-
-    def _dispatch_tickets(self, weeks: tuple[Week, ...], spec: tuple) -> int:
-        tickets = plan_tickets(
-            len(self.world.sites), weeks,
-            ticket_sites=self._site_span(), ticket_weeks=self.ticket_weeks,
-        )
-        pool = self._ensure_pool()
-        states = [
-            _TicketState(ticket, spec, self._submit(pool, ticket, spec, 0))
-            for ticket in tickets
-        ]
-        for state in states:
-            for week in state.ticket.weeks:
-                self._pending.setdefault((week, spec), []).append(state)
-        return len(states)
-
-    def _submit(self, pool, ticket: Ticket, spec: tuple, attempt: int):
-        payload = (ticket.index, attempt, ticket.site_lo, ticket.site_hi,
-                   ticket.weeks, *spec)
-        return pool.apply_async(_pool_run_ticket, (payload,))
-
-    # ------------------------------------------------------------------
-    def _shard_of(self, site_index: int) -> int:
-        """The ticket site range a site falls in (diagnostics only)."""
-        return site_index // self._site_span()
-
-    def _execute_site_phase(
-        self,
-        events,
-        week,
-        vantage_id,
-        ip_version,
-        quic_config,
-        tcp_config,
-        records,
-        site_rng,
-        entry_sink=None,
-        replay=None,
-        populations=None,
-        include_tcp=False,
-        plugins=None,
-        plugin_rows=None,
-    ) -> None:
-        if site_rng == "shared":
-            raise ValueError(
-                "ShmPoolScanEngine cannot execute shared-stream site phases; "
-                "use site_rng='per-site' (the default here) or the serial "
-                "ScanEngine"
-            )
-        if replay is not None:
-            self._apply_replay(
-                events, replay, records, entry_sink=entry_sink,
-                shard_of=self._shard_of, plugin_rows=plugin_rows,
-            )
-            return
-        if populations is None:
-            populations = ("cno", "toplist")
-        if plugins is None:
-            plugins = DEFAULT_PLUGINS
-        spec = self._spec(
-            vantage_id, ip_version, populations, include_tcp, quic_config,
-            tcp_config, plugins,
-        )
-        merged = self._collect_week(week, spec)
-        # Always drain the stash (bounded memory either way); ingest the
-        # week's worker spans under the current site-phase span only
-        # when this run is instrumented.
-        telemetry = self.telemetry
-        for blob in self._collected_obs.pop((week, spec), ()):
-            if telemetry is not None:
-                _ingest_obs(telemetry, blob)
-        self._apply_replay(
-            events, merged, records, entry_sink=entry_sink,
-            source=f"shm-pool merge ({self.workers} workers)",
-            shard_of=self._shard_of, plugin_rows=plugin_rows,
-        )
-
-    # ------------------------------------------------------------------
-    def _collect_week(self, week: Week, spec: tuple) -> dict:
-        """Harvest (dispatching on demand) every ticket covering a week."""
-        key = (week, spec)
-        hit = self._replayed.get(key)
-        if hit is not None:
-            merged, stats = hit
-            # Replayed accounting: the worker exchange-cache counters
-            # recorded in the original buffers fold again, exactly as a
-            # worker memo replay folds its recorded trailers.
-            if self.exchange_cache is not None and any(stats):
-                self.exchange_cache.stats.add(*stats)
-            return merged
-        if key not in self._pending and key not in self._collected:
-            # run_week outside a prefetch (standalone weekly runs, or a
-            # recompute after ShardResultMissing): single-week tickets.
-            self._dispatch_tickets((week,), spec)
-        for state in self._pending.pop(key, []):
-            self._harvest(state)
-        merged = self._collected.pop(key, {})
-        stats = self._collected_stats.pop(key, (0, 0, 0))
-        while len(self._replayed) >= self.REPLAY_LIMIT:
-            self._replayed.pop(next(iter(self._replayed)))
-        self._replayed[key] = (merged, stats)
-        return merged
-
-    def _harvest(self, state: _TicketState) -> None:
-        """Collect one ticket under supervision (timeout/retry/fallback)."""
-        if state.done:
-            return
-        ticket = state.ticket
-        # A ticket may cover many weeks of work, so its deadline scales
-        # with the range; per-week budget stays shard_timeout.
-        deadline = self.shard_timeout * max(1, len(ticket.weeks))
-        week_entries = None
-        while True:
-            try:
-                payload = state.result.get(deadline)
-                week_entries = self._decode_ticket_payload(ticket, payload)
-            except multiprocessing.TimeoutError:
-                self.supervision.timeouts += 1
-            except CodecCorruption:
-                self.supervision.failures += 1
-            except Exception:
-                # The attempt itself raised in the worker (the pool
-                # propagates the exception through .get()).
-                self.supervision.failures += 1
-            else:
-                break
-            if state.attempt < self.max_shard_retries:
-                self.supervision.retries += 1
-                if self.retry_backoff > 0:
-                    time.sleep(self.retry_backoff * (2 ** state.attempt))
-                state.attempt += 1
-                state.result = self._submit(
-                    self._ensure_pool(), ticket, state.spec, state.attempt
-                )
-            else:
-                # Retries exhausted: execute just this ticket inline in
-                # the parent — slower, but immune to a wedged pool.
-                self.supervision.retries += 1
-                self.supervision.fallbacks += 1
-                week_entries = self._run_ticket_inline(
-                    ticket, state.spec, attempt=state.attempt
-                )
-                break
-        for week, (entries, stats, obs) in week_entries.items():
-            key = (week, state.spec)
-            target = self._collected.setdefault(key, {})
-            for site_index, kind, result, elapsed in entries:
-                target[(site_index, kind)] = (result, elapsed)
-            prior = self._collected_stats.get(key, (0, 0, 0))
-            self._collected_stats[key] = tuple(
-                a + b for a, b in zip(prior, stats, strict=True)
-            )
-            if obs:
-                self._collected_obs.setdefault(key, []).append(obs)
-        state.done = True
-
-    def _decode_ticket_payload(self, ticket: Ticket, payload) -> dict:
-        """Validate + decode one ticket result into {week: (entries, stats, obs)}."""
-        if (
-            not isinstance(payload, list)
-            or tuple(week for week, _ in payload) != ticket.weeks
-        ):
-            raise CodecCorruption(
-                f"ticket {ticket.index} returned weeks that do not match "
-                f"its range"
-            )
-        week_entries = {}
-        totals = (0, 0, 0)
-        for week, buffer in payload:
-            entries, cache_stats, obs = decode_shard_payload_obs(buffer)
-            week_entries[week] = (entries, tuple(cache_stats), obs)
-            totals = tuple(a + b for a, b in zip(totals, cache_stats, strict=True))
-        # Fold only after every buffer decoded: a corrupt week must not
-        # half-account a discarded attempt.
-        if self.exchange_cache is not None:
-            self.exchange_cache.stats.add(*totals)
-        return week_entries
-
-    def _run_ticket_inline(self, ticket: Ticket, spec: tuple, *, attempt: int = 0) -> dict:
-        (vantage_id, ip_version, populations, include_tcp,
-         quic_config, tcp_config, plugins) = spec
-        instrumented = self.telemetry is not None
-        week_entries = {}
-        for week in ticket.weeks:
-            events = self.site_events(
-                week, vantage_id, ip_version=ip_version,
-                populations=populations, include_tcp=include_tcp,
-                plugins=plugins,
-            )
-            mine = [e for e in events if ticket.site_lo <= e.site_index < ticket.site_hi]
-            # Fallback spans are recorded into a throwaway tracer and
-            # stashed as blobs like worker spans: a multi-week ticket is
-            # harvested inside *one* week's site phase, so recording
-            # directly into the live tracer would mis-parent the other
-            # weeks.  The blob routes each span to its own week's merge.
-            tracer = Tracer() if instrumented else None
-            if tracer is not None:
-                span = tracer.begin(
-                    "ticket", "worker",
-                    ticket=ticket.index, attempt=attempt, fallback=True,
-                    week=str(week), site_lo=ticket.site_lo,
-                    site_hi=ticket.site_hi, events=len(mine),
-                )
-            entries = _execute_entries(
-                self, mine, week, vantage_id, ip_version, quic_config, tcp_config
-            )
-            if tracer is not None:
-                tracer.end(span)
-            # Inline execution accounts its exchange-cache hits live, so
-            # there is no recorded trailer to fold (or to replay later).
-            week_entries[week] = (
-                entries,
-                (0, 0, 0),
-                encode_obs_blob(tracer.spans) if tracer is not None else b"",
-            )
-        return week_entries
-
-    # ------------------------------------------------------------------
-    # Pool + shared-segment lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            from repro.util.shm import SharedSegment
-            from repro.web.snapshot import encode_world
-
-            # The world crosses to workers exactly once, as the encoded
-            # snapshot in a shared segment; initargs travel by fork
-            # inheritance (nothing here is pickled), and mp.Pool re-runs
-            # the initializer in replacement workers after a crash, so
-            # late forks self-hydrate the same way the originals did.
-            self._segment = SharedSegment.create(encode_world(self.world))
-            ctx = multiprocessing.get_context("fork")
-            self._pool = ctx.Pool(
-                processes=self.workers,
-                initializer=_shm_worker_init,
-                initargs=(
-                    self._segment,
-                    self.world.provider_list,
-                    self.world.vantage_list,
-                    self.world.override_list,
-                    self.exchange_cache is not None,
-                    self.fault_plan,
-                ),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Tear down the pool and unlink the shared segment (idempotent)."""
-        self._pending.clear()
-        self._collected.clear()
-        self._collected_stats.clear()
-        self._collected_obs.clear()
-        self._replayed.clear()
-        try:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
-        finally:
-            if self._segment is not None:
-                self._segment.unlink()
-                self._segment = None
-
-    def invalidate(self) -> None:
-        """Drop cached plans *and* the pool (its published world
-        snapshot predates whatever mutation triggered the invalidation)."""
-        super().invalidate()
-        self.close()
-
-    def __enter__(self) -> "ShmPoolScanEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class _ShmWorker:
-    """Per-worker state: the decoded world's engine plus warm caches."""
-
-    __slots__ = ("engine", "fault_plan", "events", "results")
-
-    #: Ticket-result memo bound: large enough for every campaign shape
-    #: in the test matrix, small enough that a long-lived pool serving
-    #: many distinct specs cannot grow without limit.
-    MEMO_LIMIT = 64
-
-    def __init__(self, engine: ScanEngine, fault_plan):
-        self.engine = engine
-        self.fault_plan = fault_plan
-        #: (week, vantage, family, populations, tcp, plugins) -> full
-        #: event list.
-        self.events: dict[tuple, list[SiteEvent]] = {}
-        #: Full ticket identity -> encoded per-week result buffers.
-        self.results: dict[tuple, tuple[bytes, ...]] = {}
-
-
-#: This worker's state; built by the pool initializer after fork.
-_SHM_WORKER: _ShmWorker | None = None
-
-
-def _shm_worker_init(segment, providers, vantages, overrides, exchange_cache, fault_plan):
-    """Pool initializer: decode the shared world, build the worker engine.
-
-    Runs once per worker process — including replacement workers forked
-    after a crash, so a late fork hydrates exactly like the originals
-    instead of depending on state inherited from the parent.  The decode reads zero-copy out of the
-    shared segment; lazy sections (routes, DNS, attribution) hydrate on
-    first miss inside the worker.
-    """
-    from repro.web.snapshot import decode_world
-
-    global _SHM_WORKER
-    view = segment.view()
-    try:
-        world = decode_world(
-            view, providers=providers, vantages=vantages, overrides=overrides
-        )
-    finally:
-        view.release()
-    engine = ScanEngine(world, exchange_cache=exchange_cache)
-    _SHM_WORKER = _ShmWorker(engine, fault_plan)
-
-
-def _pool_run_ticket(payload) -> list:
-    """Pool task: run one ticket, return one codec buffer per week.
-
-    A ticket the worker has computed before replays its recorded
-    buffers (and their recorded cache-stat trailers — replayed
-    accounting) without touching the engine; per-site RNG substreams
-    make replay and recomputation byte-identical.  Fault hooks apply
-    per (ticket, week, attempt) *around* the memo — ``before_shard``
-    can still crash a warm worker, ``mangle_shard_buffer`` still
-    corrupts exactly the attempts its rules name.
-    """
-    state = _SHM_WORKER
-    if state is None:  # pragma: no cover - misuse guard
-        raise RuntimeError("worker was not initialised with a shared world")
-    (index, attempt, site_lo, site_hi, weeks,
-     vantage_id, ip_version, populations, include_tcp,
-     quic_config, tcp_config, plugins) = payload
-    engine = state.engine
-    memo_key = (site_lo, site_hi, weeks, vantage_id, ip_version,
-                populations, include_tcp, quic_config, tcp_config, plugins)
-    cached = state.results.get(memo_key)
-    built: list[bytes] = []
-    out = []
-    for position, week in enumerate(weeks):
-        if state.fault_plan is not None:
-            state.fault_plan.before_shard(shard=index, week=week, attempt=attempt)
-        if cached is not None:
-            buffer = cached[position]
-        else:
-            events_key = (week, vantage_id, ip_version, populations, include_tcp, plugins)
-            events = state.events.get(events_key)
-            if events is None:
-                events = engine.site_events(
-                    week, vantage_id, ip_version=ip_version,
-                    populations=populations, include_tcp=include_tcp,
-                    plugins=plugins,
-                )
-                state.events[events_key] = events
-            mine = [e for e in events if site_lo <= e.site_index < site_hi]
-            cache = engine.exchange_cache
-            base = cache.stats.snapshot() if cache is not None else (0, 0, 0)
-            # One worker span per fresh ticket-week, shipped in this
-            # week's buffer.  Memoized replays reuse the buffer as-is,
-            # so their blobs carry the *original* attempt's span —
-            # replayed accounting, same as the cache-stat trailers.
-            tracer = Tracer()
-            span = tracer.begin(
-                "ticket", "worker",
-                ticket=index, attempt=attempt, week=str(week),
-                site_lo=site_lo, site_hi=site_hi, events=len(mine),
-            )
-            entries = _execute_entries(
-                engine, mine, week, vantage_id, ip_version, quic_config, tcp_config
-            )
-            tracer.end(span)
-            if cache is not None:
-                now = cache.stats.snapshot()
-                delta = (now[0] - base[0], now[1] - base[1], now[2] - base[2])
-            else:
-                delta = (0, 0, 0)
-            buffer = encode_shard_results(
-                entries, cache_stats=delta, obs=_worker_obs_blob(tracer, delta)
-            )
-            built.append(buffer)
-        if state.fault_plan is not None:
-            buffer = state.fault_plan.mangle_shard_buffer(
-                buffer, shard=index, week=week, attempt=attempt
-            )
-        out.append((week, buffer))
-    if cached is None:
-        while len(state.results) >= _ShmWorker.MEMO_LIMIT:
-            state.results.pop(next(iter(state.results)))
-        state.results[memo_key] = tuple(built)
     return out

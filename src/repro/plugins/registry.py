@@ -5,11 +5,10 @@ field names that do not collide with the core observation columns,
 known transports) and assigns every declared variant a **stable
 event kind** ≥ :data:`~repro.plugins.base.PLUGIN_KIND_BASE` from a
 global counter.  Kinds are a property of registration order, not of
-per-run selection, so shard buffers, ticket frames and checkpoint
-entries encoded in one process decode identically in any other that
-performed the same registrations — the builtin plugins register in a
-fixed order on ``import repro.plugins``, and forked workers inherit
-or repeat it.
+per-run selection, so checkpoint entries encoded in one process
+decode identically in any other that performed the same registrations
+— the builtin plugins register in a fixed order on
+``import repro.plugins``.
 
 :func:`resolve_plugins` turns a user-facing name tuple (CLI
 ``--plugins ecn,grease``) into a :class:`PluginSelection`: the
@@ -55,8 +54,8 @@ def _reserved_field_names() -> frozenset:
 RESERVED_FIELD_NAMES: Final = _reserved_field_names()
 
 # Registry state is Final (never rebound) and filled only during
-# import-time registration, so parent, forked shard workers and
-# shm-pool workers all hold identical contents (REP003).
+# import-time registration, so every run in a process — and every
+# process — holds identical contents (REP003).
 _PLUGINS: Final[dict[str, MeasurementPlugin]] = {}
 _BINDINGS_BY_KIND: Final[dict[int, VariantBinding]] = {}
 _BINDINGS_BY_PLUGIN: Final[dict[str, tuple[VariantBinding, ...]]] = {}
@@ -74,7 +73,7 @@ def register(plugin: MeasurementPlugin) -> MeasurementPlugin:
     # The kind counter only advances during import-time registration
     # (builtins register on `import repro.plugins`, in a fixed order),
     # so every process that performs the same imports agrees on kinds.
-    # repro-lint: skip[REP003] import-time counter, identical in workers
+    # repro-lint: skip[REP003] import-time counter, identical in every process
     global _NEXT_KIND
     name = plugin.name
     if not isinstance(name, str) or not _NAME_RE.match(name):

@@ -17,8 +17,8 @@ dimension represented by index arrays computed at plan build.
   field-compatible stand-in for :class:`DomainObservation`;
   :class:`StoreObservations`, the sequence view analysis iterates; and
   :class:`StoreWeeklyRun`, the store-backed weekly run.
-* :mod:`repro.store.codec` — a compact binary codec for shard result
-  batches, so shm-pool workers ship one buffer per ticket-week instead
+* :mod:`repro.store.codec` — a compact binary codec for site-phase
+  result batches: one checksummed buffer per checkpointed week instead
   of pickled object lists.
 
 Store-backed runs are golden-identical to the object path (pinned by

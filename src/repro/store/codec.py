@@ -1,29 +1,28 @@
-"""Compact binary codec for shard result batches.
+"""Compact binary codec for site-phase result batches.
 
-Pickling results across a process boundary means *lists of result
-objects* — every :class:`QuicConnectionResult` pickled with its nested
-counters, enums and header strings, per site, per week.  This codec
-marshals one shard's (or shm-pool ticket-week's) results into **one
-flat buffer**: varint-packed fields, a deduplicating string table
-(server headers repeat massively across sites), IEEE-754 doubles for
-the elapsed clock times (bit-exact, the merged shared clock must land
-on the same float), and enums by index.
+Campaign checkpoints (:mod:`repro.pipeline.checkpoint`) persist one
+week's ``(site, kind, result, elapsed)`` entries per file.  Pickling
+them would mean *lists of result objects* — every
+:class:`QuicConnectionResult` with its nested counters, enums and
+header strings, per site.  This codec marshals a batch into **one flat
+buffer**: varint-packed fields, a deduplicating string table (server
+headers repeat massively across sites), IEEE-754 doubles for the
+elapsed clock times (bit-exact, the replayed shared clock must land on
+the same float), and enums by index.
 
-The format is internal wire format, not an archive format: both ends
-are the same build of this module, so there is no cross-version
-schema negotiation — just a magic/version prefix to fail fast on
-mismatched buffers.
+The format is internal, not an archive format: both ends are the same
+build of this module, so there is no cross-version schema negotiation —
+just a magic/version prefix to fail fast on mismatched buffers.
 
 Entries are ``(site_index, kind, result, elapsed)`` exactly as
 ``repro.pipeline.sharding._execute_entries`` produces them; decoding yields
 objects that compare equal (``==``) to the originals, which the codec
 round-trip tests and the sharded golden tests pin.
 
-Version 2 adds a fixed three-varint header field carrying the worker's
-exchange replay-cache counters (hits, misses, uncacheable) for the
-encoded shard, so shm-pool runs report the same cache accounting as
-in-process executors.  :func:`decode_shard_results` keeps returning
-just the entries; :func:`decode_shard_payload` returns both.
+Version 2 adds a fixed three-varint header field that once carried
+exchange replay-cache counters for the encoded batch.  Nothing reads
+them any more: the encoder always writes three zero varints and the
+decoder skips them, so the bytes stay those of the format.
 
 Version 3 wraps every buffer in a **checksummed frame** —
 ``magic + body length + CRC32 + body`` (:func:`frame_payload` /
@@ -31,23 +30,21 @@ Version 3 wraps every buffer in a **checksummed frame** —
 campaign checkpoint files.  Any truncation or bit flip of a framed
 buffer raises the typed :class:`CodecCorruption` before a single body
 byte is interpreted: corrupted bytes never decode to plausible-but-
-wrong results (crashed fork-pool workers and torn checkpoint files can
-produce exactly such buffers; docs/robustness.md).
+wrong results (torn checkpoint files produce exactly such buffers;
+docs/robustness.md).
 
-Version 4 adds a length-prefixed **observability blob** after the
-cache-stat varints: worker-side spans and metric deltas encoded by
-:mod:`repro.obs.spans`, riding inside the same CRC-checked frame so
-telemetry corruption is caught by the exact machinery that guards the
-results.  The blob is opaque to this module (empty when the run is
-uninstrumented); :func:`decode_shard_payload` keeps its two-tuple
-shape and :func:`decode_shard_payload_obs` exposes the blob.
+Version 4 adds a length-prefixed opaque blob after the cache-stat
+varints.  Nothing writes one any more: the encoder always emits an
+empty blob (a zero length varint) and the decoder skips whatever
+length it reads, so the bytes — and every existing checkpoint —
+stay valid under the unchanged ``ECNSTOR4`` magic.
 
 Measurement-plugin variants (``repro.plugins``) add a fourth entry
 tag — :data:`_RESULT_ROW` — carrying a typed per-flow value tuple
 (``None`` / bool / int / float / string-table ref per field) instead
 of a full result object.  Plugin rows are what variants contribute to
-the store, so shipping the row rather than the raw result keeps shard
-and ticket frames small.  The tag is additive: buffers produced by
+the store, so storing the row rather than the raw result keeps
+checkpoint frames small.  The tag is additive: buffers produced by
 default (``ecn``-only) runs contain no row entries and remain
 byte-identical to pre-plugin buffers, which keeps existing campaign
 checkpoints valid.
@@ -77,8 +74,6 @@ __all__ = [
     "MAGIC",
     "CodecCorruption",
     "CodecError",
-    "decode_shard_payload",
-    "decode_shard_payload_obs",
     "decode_shard_results",
     "encode_shard_results",
     "frame_payload",
@@ -89,6 +84,8 @@ __all__ = [
 #: :mod:`repro.util.magics`).
 MAGIC = SHARD_RESULT_MAGIC
 
+#: Body header: three v2 counter varints and the v4 blob length, all 0.
+_EMPTY_HEADER = b"\x00\x00\x00\x00"
 
 _RESULT_NONE = 0
 _RESULT_QUIC = 1
@@ -446,16 +443,13 @@ def _decode_row(
 # ----------------------------------------------------------------------
 def encode_shard_results(
     entries: Sequence[tuple[int, int, object, float]],
-    *,
-    cache_stats: tuple[int, int, int] = (0, 0, 0),
-    obs: bytes = b"",
 ) -> bytes:
-    """Marshal one shard's ``(site, kind, result, elapsed)`` entries.
+    """Marshal one batch of ``(site, kind, result, elapsed)`` entries.
 
-    One checksummed frame per shard: header (including the shard's
-    exchange-cache ``(hits, misses, uncacheable)`` counters and an
-    opaque length-prefixed ``obs`` telemetry blob), deduplicated string
-    table, then the packed entries.  ``elapsed`` round-trips bit-exactly.
+    One checksummed frame per batch: header (three zero v2 counter
+    varints and an empty v4 length-prefixed blob), deduplicated string
+    table, then the packed entries.  ``elapsed`` round-trips
+    bit-exactly.
     """
     table = StringTable()
     body = bytearray()
@@ -478,37 +472,30 @@ def encode_shard_results(
             raise TypeError(
                 f"cannot encode shard result of type {type(result).__name__}"
             )
-    out = bytearray()
-    for counter in cache_stats:
-        out += encode_varint(counter)
-    out += encode_varint(len(obs))
-    out += obs
+    # Three zero v2 counters and an empty v4 blob: kept so the bytes
+    # stay ECNSTOR4.
+    out = bytearray(_EMPTY_HEADER)
     out += encode_string_table(table)
     out += encode_varint(len(entries))
     out += body
     return frame_payload(MAGIC, bytes(out))
 
 
-def decode_shard_payload_obs(
-    buf: bytes,
-) -> tuple[list[tuple[int, int, object, float]], tuple[int, int, int], bytes]:
-    """Inverse of :func:`encode_shard_results`: (entries, cache stats, obs).
+def decode_shard_results(buf: bytes) -> list[tuple[int, int, object, float]]:
+    """Inverse of :func:`encode_shard_results`.
 
     The frame is verified first; a truncated or bit-flipped buffer
-    raises :class:`CodecCorruption` without touching the body.  ``obs``
-    is the opaque telemetry blob (``b""`` for uninstrumented shards) —
-    decode it with :func:`repro.obs.spans.decode_obs_blob`.
+    raises :class:`CodecCorruption` without touching the body.  The v2
+    counters and the v4 blob are skipped, whatever they hold.
     """
     # bytes() is a no-op on the already-bytes copy=True return; it only
     # narrows the static type from the codec's bytes|memoryview union.
     buf = bytes(unframe_payload(MAGIC, buf, what="shard result"))
     offset = 0
-    hits, offset = decode_varint(buf, offset)
-    misses, offset = decode_varint(buf, offset)
-    uncacheable, offset = decode_varint(buf, offset)
-    obs_len, offset = decode_varint(buf, offset)
-    obs = bytes(buf[offset : offset + obs_len])
-    offset += obs_len
+    for _ in range(3):
+        _, offset = decode_varint(buf, offset)
+    blob_len, offset = decode_varint(buf, offset)
+    offset += blob_len
     strings, offset = decode_string_table(buf, offset)
     entry_count, offset = decode_varint(buf, offset)
     entries: list[tuple[int, int, object, float]] = []
@@ -532,17 +519,4 @@ def decode_shard_payload_obs(
         else:
             raise ValueError(f"unknown shard result tag {tag}")
         entries.append((site_index, kind, result, elapsed))
-    return entries, (hits, misses, uncacheable), obs
-
-
-def decode_shard_payload(
-    buf: bytes,
-) -> tuple[list[tuple[int, int, object, float]], tuple[int, int, int]]:
-    """(entries, cache stats) view of :func:`decode_shard_payload_obs`."""
-    entries, stats, _obs = decode_shard_payload_obs(buf)
-    return entries, stats
-
-
-def decode_shard_results(buf: bytes) -> list[tuple[int, int, object, float]]:
-    """Entries-only view of :func:`decode_shard_payload`."""
-    return decode_shard_payload_obs(buf)[0]
+    return entries

@@ -1,4 +1,4 @@
-"""Checksummed buffer framing shared by every on-disk/IPC codec.
+"""Checksummed buffer framing shared by every on-disk codec.
 
 One frame layout — ``magic + body length + CRC32 + body`` — wraps the
 shard result codec (:mod:`repro.store.codec`), the world snapshot
@@ -6,8 +6,8 @@ codec (:mod:`repro.web.snapshot`) and the campaign checkpoint files
 (:mod:`repro.pipeline.checkpoint`).  Verification happens before a
 single body byte is interpreted, so a truncated or bit-flipped buffer
 raises the typed :class:`CodecCorruption` instead of decoding to
-plausible-but-wrong results (the failure mode crashed fork-pool workers
-and torn files actually produce; see docs/robustness.md).
+plausible-but-wrong results (the failure mode torn and damaged files
+actually produce; see docs/robustness.md).
 
 This module lives in :mod:`repro.util` because the codecs that share
 it sit on opposite sides of an import cycle (the shard codec pulls the
@@ -56,8 +56,9 @@ def unframe_payload(
 
     With ``copy=False`` the body comes back as a read-only
     ``memoryview`` into ``buf`` instead of a fresh ``bytes`` — the
-    zero-copy path the world-snapshot decoder uses to read directly out
-    of a shared-memory segment.  The CRC is verified either way.
+    zero-copy path the world-snapshot decoder uses so a multi-megabyte
+    snapshot body is not copied once more before decoding.  The CRC is
+    verified either way.
     """
     header_end = len(magic) + _FRAME_HEADER.size
     if bytes(buf[: len(magic)]) != magic:

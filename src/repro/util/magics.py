@@ -1,6 +1,6 @@
 """Central registry of frame magics — every persisted format, one place.
 
-Each on-disk/IPC format the runtime persists opens with an 8-byte
+Each on-disk format the runtime persists opens with an 8-byte
 magic, verified by :func:`repro.util.framing.unframe_payload` before a
 single body byte is parsed.  Declaring them all here (REP004) keeps
 them unique — a collision would let one codec "successfully" verify
@@ -23,10 +23,10 @@ __all__ = [
     "WORLD_SNAPSHOT_MAGIC",
 ]
 
-#: Shard/ticket result buffers (:mod:`repro.store.codec`).
+#: Site-phase result batches (:mod:`repro.store.codec`).
 SHARD_RESULT_MAGIC: Final = b"ECNSTOR4"
 
-#: World snapshots, on disk and in shared memory (:mod:`repro.web.snapshot`).
+#: World snapshots (:mod:`repro.web.snapshot`).
 WORLD_SNAPSHOT_MAGIC: Final = b"ECNWRLD2"
 
 #: Per-week campaign checkpoints (:mod:`repro.pipeline.checkpoint`).

@@ -315,13 +315,10 @@ def decode_world(
 ) -> World:
     """Rehydrate a world from :func:`encode_world` output.
 
-    ``buf`` may be any bytes-like object — in particular a read-only
-    ``memoryview`` over a shared-memory segment
-    (:class:`repro.util.shm.SharedSegment`), which is how persistent
-    pool workers decode the campaign world without ever copying the
-    buffer: the frame is unwrapped zero-copy and every column decode
-    reads straight out of the mapped pages.  The buffer is never
-    written to (property-tested in ``tests/test_shm_pool.py``).
+    ``buf`` may be any bytes-like object, including a read-only
+    ``memoryview``: the frame is unwrapped zero-copy and every column
+    decode reads straight out of ``buf``.  The buffer is never written
+    to (property-tested in ``tests/test_world_snapshot.py``).
 
     The spec lists must be the ones the snapshot was taken for (they
     default to the calibrated defaults, like :func:`build_world`); the

@@ -290,8 +290,8 @@ class World:
         """Materialise the route section of one vantage point.
 
         Installed as the network's section loader, so any route lookup
-        miss triggers it; call it directly to pre-materialise (the
-        sharded engine does, before forking workers).  Returns True if
+        miss triggers it; call it directly to pre-materialise (campaigns
+        do, before their first timed week).  Returns True if
         the section was pending and is now built.
         """
         index = self._pending_route_sections.pop(vantage_id, None)

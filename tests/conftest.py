@@ -7,67 +7,17 @@ without sacrificing coverage.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-
 import pytest
 
 import repro
 from repro.core.codepoints import ECN
 from repro.scanner.quic_scan import QuicScanConfig
-from repro.util import shm
 from repro.web.spec import WorldConfig
 
 #: Coarse world: fast structural tests.
 SMALL_SCALE = 20_000
 #: Calibration world: shape assertions against the paper's percentages.
 SHAPE_SCALE = 2_000
-
-#: Platform gates for the fork-pool executors.  Tests that fork worker
-#: processes (the sharded "process" executor and the shm pool) skip
-#: with a reason instead of erroring on platforms without fork;
-#: /dev/shm-specific assertions additionally branch on the segment
-#: backend (the mmap fallback never appears there).
-FORK_AVAILABLE = shm.fork_available()
-requires_fork = pytest.mark.skipif(
-    not FORK_AVAILABLE,
-    reason="fork-pool executors need the fork start method (POSIX)",
-)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_leaked_segments_or_workers():
-    """Fail the suite if any test leaks a shared segment or a worker.
-
-    Checks the process-level segment registry (covers the mmap fallback
-    too), the OS view under /dev/shm, and live multiprocessing children
-    (pool workers that were never terminated).  Runs after the whole
-    session so a leak anywhere in the suite is caught even if the
-    leaking test itself passed.
-    """
-    shm_dir = "/dev/shm"
-    before = (
-        {name for name in os.listdir(shm_dir) if name.startswith(shm.SEGMENT_PREFIX)}
-        if os.path.isdir(shm_dir)
-        else set()
-    )
-    yield
-    leaked = shm.live_segments()
-    assert not leaked, f"test suite leaked shared segments: {leaked}"
-    if os.path.isdir(shm_dir):
-        after = {
-            name for name in os.listdir(shm_dir) if name.startswith(shm.SEGMENT_PREFIX)
-        }
-        assert after <= before, f"/dev/shm segments leaked: {sorted(after - before)}"
-    # Terminated pools reap their workers asynchronously; give stragglers
-    # a beat before declaring them leaked.
-    deadline = time.monotonic() + 5.0
-    children = multiprocessing.active_children()
-    while children and time.monotonic() < deadline:
-        time.sleep(0.05)
-        children = multiprocessing.active_children()
-    assert not children, f"worker processes leaked: {children}"
 
 
 @pytest.fixture(scope="session")

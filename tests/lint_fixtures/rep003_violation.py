@@ -1,4 +1,4 @@
-"""REP003 fixture: fork-hostile module globals."""
+"""REP003 fixture: module globals that leak state between runs."""
 
 _RESULT_CACHE: dict = {}  # flagged: mutable, not Final, not _WORKER_*
 _PENDING = []  # flagged: bare list binding

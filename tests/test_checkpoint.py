@@ -3,9 +3,8 @@
 The contract: a campaign interrupted after any week and resumed from
 its checkpoint directory produces results *identical* to an
 uninterrupted run — same observations, same site records, same shared
-clock — for any shard or worker count and either executor (inline
-shards or the shm pool), including resuming under a different partition
-than the one that wrote the checkpoints.  Corrupt,
+clock — for any shard count, including resuming under a different
+partition than the one that wrote the checkpoints.  Corrupt,
 foreign or missing checkpoint files are never trusted: the week
 recomputes and the output is unchanged.
 """
@@ -24,7 +23,6 @@ from repro.pipeline.checkpoint import (
 from repro.util.atomic import atomic_write_bytes
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
 from tests.test_pipeline_sharding import _assert_runs_equal
 
 SCALE = 6_000
@@ -41,8 +39,7 @@ def _weeks(world):
 
 
 def _campaign(world, **kwargs):
-    if "workers" not in kwargs:
-        kwargs.setdefault("shards", 2)
+    kwargs.setdefault("shards", 2)
     return run_campaign(
         world, weeks=_weeks(world), populations=POPULATIONS, **kwargs
     )
@@ -62,26 +59,19 @@ def uninterrupted():
     return world, _campaign(world)
 
 
-@pytest.mark.parametrize(
-    "executor", ["inline", pytest.param("pool", marks=requires_fork)]
-)
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_kill_and_resume_matches_uninterrupted(
-    tmp_path, uninterrupted, shards, executor
-):
+@pytest.mark.parametrize("shards", [1, 2, 4], ids=lambda n: f"{n}-inline")
+def test_kill_and_resume_matches_uninterrupted(tmp_path, uninterrupted, shards):
     ref_world, reference = uninterrupted
-    # The pool leg runs `shards` shm-pool workers instead of inline shards.
-    partition = {"shards": shards} if executor == "inline" else {"workers": shards}
     # Crash (via the fault harness) after the second of three weeks...
     world = _build()
     plan = FaultPlan().abort_campaign_after(_weeks(world)[1])
     with pytest.raises(InjectedFault):
-        _campaign(world, checkpoint_dir=tmp_path, fault_plan=plan, **partition)
+        _campaign(world, checkpoint_dir=tmp_path, fault_plan=plan, shards=shards)
     # ...then resume on a fresh world: completed weeks rehydrate from
     # disk, the rest compute, and the result is the uninterrupted one.
     resumed_world = _build()
     resumed = _campaign(
-        resumed_world, checkpoint_dir=tmp_path, resume=True, **partition
+        resumed_world, checkpoint_dir=tmp_path, resume=True, shards=shards
     )
     _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
 
@@ -182,13 +172,8 @@ def test_checkpoint_validation_errors():
         run_campaign(
             world, shards=2, checkpoint_dir="/tmp/nowhere", run_tracebox=True
         )
-    with pytest.raises(ValueError, match="shard_timeout"):
-        run_campaign(world, shard_timeout=5.0)
-    # Inline shards never dispatch, so supervision knobs need workers=N.
-    with pytest.raises(ValueError, match="workers"):
-        run_campaign(world, shards=2, shard_timeout=5.0)
-    with pytest.raises(ValueError, match="workers"):
-        run_campaign(world, shards=2, max_shard_retries=1)
+    with pytest.raises(ValueError, match="cadence_weeks"):
+        run_campaign(world, cadence_weeks=0)
 
 
 def test_atomic_write_bytes(tmp_path):

@@ -7,8 +7,6 @@ from repro.analysis.report import global_report, longitudinal_report, reference_
 from repro.cli import build_parser, main
 from repro.pipeline.vantage import run_distributed
 
-from tests.conftest import requires_fork
-
 
 # ----------------------------------------------------------------------
 # Report builders
@@ -196,7 +194,6 @@ def test_cli_quiet_silences_diagnostics(capsys):
     assert captured.err == ""
 
 
-@requires_fork
 def test_cli_campaign_metrics_and_trace_out(tmp_path, capsys):
     import json
 
@@ -209,7 +206,7 @@ def test_cli_campaign_metrics_and_trace_out(tmp_path, capsys):
             "campaign",
             "--scale", "20000",
             "--cadence", "26",
-            "--workers", "2",
+            "--shards", "2",
             "--metrics-out", str(metrics_path),
             "--trace-out", str(trace_path),
         ]
@@ -228,17 +225,17 @@ def test_cli_campaign_metrics_and_trace_out(tmp_path, capsys):
         "campaign.exchange_cache.hits",
         "campaign.exchange_cache.misses",
         "campaign.exchange_cache.hit_rate",
-        "campaign.supervision.retries",
-        "campaign.supervision.fallbacks",
     ):
         assert name in metrics, name
+    gone = ("campaign.supervision.", "worker.")
+    assert not [name for name in metrics if name.startswith(gone)]
     assert metrics["campaign.weeks"]["value"] > 0
     assert report["spans"]["campaign.campaign"]["count"] == 1
 
     document = json.loads(trace_path.read_text())
     events = document["traceEvents"]
     assert events and all(event["ph"] == "X" for event in events)
-    assert {"campaign", "week"} <= {event["name"] for event in events}
+    assert {"campaign", "week", "shard"} <= {event["name"] for event in events}
 
 
 def test_cli_scan_metrics_out(tmp_path, capsys):
@@ -263,7 +260,38 @@ def test_cli_progress_heartbeat(capsys):
     lines = [line for line in captured.err.splitlines() if line.startswith("[progress]")]
     assert lines, "expected [progress] heartbeat lines on stderr"
     assert "week" in lines[-1] and "dom/s" in lines[-1]
+    assert "retries" not in lines[-1]
     assert "[progress]" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--cadence", "0"], "--cadence must be >= 1"),
+        (["--cadence", "-4"], "--cadence must be >= 1"),
+        (["--shards", "0"], "--shards must be >= 1"),
+        (["--shards", "-2"], "--shards must be >= 1"),
+    ],
+)
+def test_cli_campaign_rejects_non_positive_cadence_and_shards(capsys, flags, message):
+    # Rejected before any world is built: a zero cadence used to loop
+    # forever, a negative one or zero shards died with a traceback.
+    assert main(["campaign", "--scale", "20000", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"{message}, got {flags[1]}"]
+
+
+@pytest.mark.parametrize(
+    "flag", ["--workers", "--ticket-sites", "--shard-timeout", "--shard-retries"]
+)
+def test_cli_campaign_has_no_worker_pool_flags(capsys, flag):
+    with pytest.raises(SystemExit):
+        main(["campaign", "--help"])
+    assert flag not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", flag, "2"])
+    assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -31,9 +31,16 @@ from repro.netsim.hops import EcnAction, Router
 from repro.netsim.path import NetworkPath
 from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanPhaseStats, SiteEvent
 from repro.quic.connection import QuicClientConfig
+from repro.quic.varint import encode_varint
 from repro.tcp.client import TcpClientConfig
 from repro.quicstacks.base import MirrorQuirk, StackBehavior
-from repro.store.codec import decode_shard_payload, encode_shard_results
+from repro.store.codec import (
+    MAGIC,
+    decode_shard_results,
+    encode_shard_results,
+    frame_payload,
+    unframe_payload,
+)
 from repro.tcp.profiles import TcpProfile
 from repro.web.spec import WorldConfig
 
@@ -229,16 +236,17 @@ def test_engine_counts_every_exchange_and_hits_on_stable_weeks():
 
 
 def test_codec_round_trips_cache_stats_trailer():
+    # The v2 cache-stat varints and the v4 blob length are always
+    # written as zeros, and the decoder skips whatever they hold, so
+    # buffers whose header carries counters still decode.
     entries = [(7, 0, None, 1.25)]
-    buf = encode_shard_results(entries, cache_stats=(11, 4, 2))
-    decoded, stats = decode_shard_payload(buf)
-    assert decoded == entries
-    assert stats == (11, 4, 2)
-    # Default trailer is all-zero (and decode_shard_results still works).
-    from repro.store.codec import decode_shard_results
-
-    assert decode_shard_results(encode_shard_results(entries)) == entries
-    assert decode_shard_payload(encode_shard_results(entries))[1] == (0, 0, 0)
+    buf = encode_shard_results(entries)
+    body = unframe_payload(MAGIC, buf)
+    assert bytes(body[:4]) == b"\x00\x00\x00\x00"
+    assert decode_shard_results(buf) == entries
+    counted = encode_varint(11) + encode_varint(4) + encode_varint(2)
+    legacy = frame_payload(MAGIC, counted + bytes(body[3:]))
+    assert decode_shard_results(legacy) == entries
 
 
 # ----------------------------------------------------------------------

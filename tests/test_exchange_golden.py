@@ -4,7 +4,7 @@ The exchange replay cache's contract is that caching is invisible: a
 run that replays cached outcomes serves exactly the observations,
 site records, traces and shared-clock trajectory a cache-disabled run
 produces — for every vantage, both IP families, TCP+QUIC, any shard
-count, any worker permutation, and both shard executors (the same bar
+count and any shard execution order (the same bar
 ``tests/test_store_golden.py`` sets for the columnar store).  Worlds
 are built in identically-seeded pairs and driven in lockstep over
 *multiple weeks*, so the cached side actually replays (week two of a
@@ -19,12 +19,10 @@ import pytest
 
 import repro
 from repro.analysis.report import longitudinal_report
-from repro.pipeline.engine import ScanEngine, ScanPhaseStats
-from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
+from repro.pipeline.engine import ScanEngine
+from repro.pipeline.sharding import ShardedScanEngine
 from repro.scanner.results import DomainObservation
 from repro.web.spec import WorldConfig
-
-from tests.conftest import requires_fork
 
 #: Small world for the wide (vantage x family x tcp) matrix...
 MATRIX_SCALE = 40_000
@@ -126,7 +124,7 @@ def test_replay_returns_identical_result_objects_across_weeks():
 
 
 # ----------------------------------------------------------------------
-# Sharded execution: counts 1/2/4, worker permutation, fork pool
+# Sharded execution: counts 1/2/4, shard-order permutation
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fresh_per_site_runs():
@@ -163,26 +161,6 @@ def test_sharded_cached_invariant_under_worker_permutation(fresh_per_site_runs):
         run = engine.run_week(scan_week, include_tcp=True)
         _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
-
-
-@requires_fork
-def test_fork_pool_cached_matches_fresh_serial(fresh_per_site_runs):
-    """Shm-pool workers replay from their warm caches; still golden."""
-    world_ref, references = fresh_per_site_runs
-    world = _build(DEEP_SCALE)
-    week = world.config.reference_week
-    stats = ScanPhaseStats()
-    with ShmPoolScanEngine(world, workers=3) as engine:
-        for reference, scan_week in zip(references, (week + (-1), week), strict=True):
-            run = engine.run_week(
-                scan_week, include_tcp=True, phase_stats=stats
-            )
-            _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-    # Worker-side counters travelled back through the codec trailer:
-    # the second week replays the (stable-epoch) majority of its sites.
-    assert stats.exchange_cache_hits > 0
-    assert stats.exchange_cache_misses > 0
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Supervised shm-pool execution under injected faults.
+"""Deterministic fault injection and typed recovery errors.
 
-Every fault the harness can inject — worker crash, stalled ticket,
-corrupted result buffer — must be absorbed by supervision (retry, then
-inline fallback) with results *identical* to a clean run: per-site RNG
-substreams make retried tickets byte-deterministic, so recovery is
-invisible in the output and visible only in the supervision counters.
-A single ``run_week`` on ``workers=2`` tiles the sites into two
-one-week tickets, so a rule's ``shard`` coordinate names ticket 0 or 1.
+The fault harness (:mod:`repro.faults`) injects the two failures the
+campaign runtime has hooks for — a checkpoint damaged as it is written,
+and a campaign aborted between weeks — and both must be reproducible
+bit for bit from the plan seed.  Replays that do not cover a week's
+schedule fail with the typed :class:`ShardResultMissing` naming exactly
+what is absent, before any record is touched.  End-to-end recovery
+(kill-and-resume, corrupt-checkpoint-then-resume) is golden-tested in
+``tests/test_checkpoint.py`` and gated by
+``benchmarks/bench_fault_injection.py``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ import pytest
 
 import repro
 from repro.faults import FaultPlan, InjectedFault
-from repro.pipeline.engine import ScanPhaseStats, ShardResultMissing
-from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
-from repro.util import shm
+from repro.pipeline.engine import ShardResultMissing
+from repro.pipeline.sharding import ShardedScanEngine
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
 from tests.test_pipeline_sharding import _assert_runs_equal
 
 SCALE = 6_000
@@ -28,90 +28,6 @@ SCALE = 6_000
 
 def _build():
     return repro.build_world(WorldConfig(scale=SCALE))
-
-
-@pytest.fixture(scope="module")
-def serial_per_site():
-    """The serial engine in per-site RNG mode — the golden reference."""
-    world = _build()
-    week = world.config.reference_week
-    run = world.scan_engine().run_week(week, site_rng="per-site", include_tcp=True)
-    return world, run
-
-
-def _run_faulted(plan, *, workers=2, max_shard_retries=2, shard_timeout=3.0):
-    world = _build()
-    stats = ScanPhaseStats()
-    engine = ShmPoolScanEngine(
-        world,
-        workers=workers,
-        fault_plan=plan,
-        shard_timeout=shard_timeout,
-        max_shard_retries=max_shard_retries,
-    )
-    with engine:
-        run = engine.run_week(
-            world.config.reference_week, include_tcp=True, phase_stats=stats
-        )
-    assert shm.live_segments() == []
-    return world, run, stats, engine
-
-
-@requires_fork
-def test_worker_crash_is_retried_and_results_match(serial_per_site):
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
-    plan = FaultPlan(seed=1).crash_worker(shard=1, week=week)
-    world, run, stats, engine = _run_faulted(plan)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-    # The lost task surfaces as a timeout; exactly one retry recovers it.
-    assert stats.shard_timeouts == 1
-    assert stats.shard_retries == 1
-    assert engine.supervision.fallbacks == 0
-
-
-@requires_fork
-@pytest.mark.parametrize("mode", ["bitflip", "truncate"])
-def test_corrupt_result_buffer_is_retried_and_results_match(serial_per_site, mode):
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
-    plan = FaultPlan(seed=2).corrupt_shard_buffer(shard=0, week=week, mode=mode)
-    world, run, stats, engine = _run_faulted(plan)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-    # The damage is caught by the frame checksum, never decoded.
-    assert stats.shard_failures == 1
-    assert stats.shard_retries == 1
-
-
-@requires_fork
-def test_stalled_shard_times_out_and_results_match(serial_per_site):
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
-    plan = FaultPlan(seed=3).delay_shard(6.0, shard=1, week=week)
-    world, run, stats, _ = _run_faulted(plan, shard_timeout=1.5)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-    assert stats.shard_timeouts >= 1
-    assert stats.shard_retries >= 1
-
-
-@requires_fork
-def test_persistent_crash_falls_back_inline(serial_per_site):
-    """A ticket that fails every pool attempt re-executes in the parent."""
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
-    # attempt=None: every dispatch of ticket 1 crashes its worker.
-    plan = FaultPlan(seed=4).crash_worker(shard=1, week=week, attempt=None)
-    world, run, stats, engine = _run_faulted(
-        plan, max_shard_retries=1, shard_timeout=1.5
-    )
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-    assert engine.supervision.fallbacks == 1
-    assert stats.shard_timeouts == 2  # initial attempt + one re-dispatch
-    assert stats.shard_retries == 2  # the re-dispatch + the inline fallback
 
 
 def test_missing_shard_results_raise_typed_error():
@@ -152,19 +68,26 @@ def test_partial_replay_names_only_absent_entries():
 
 
 def test_fault_corruption_is_deterministic():
-    week = repro.build_world(WorldConfig(scale=40_000)).config.reference_week
+    config = repro.build_world(WorldConfig(scale=40_000)).config
+    week, other_week = config.reference_week, config.start_week
     buf = bytes(range(256)) * 8
-    plan_a = FaultPlan(seed=9).corrupt_shard_buffer(shard=2, week=week)
-    plan_b = FaultPlan(seed=9).corrupt_shard_buffer(shard=2, week=week)
-    mangled_a = plan_a.mangle_shard_buffer(buf, shard=2, week=week, attempt=0)
-    mangled_b = plan_b.mangle_shard_buffer(buf, shard=2, week=week, attempt=0)
+    plan_a = FaultPlan(seed=9).corrupt_checkpoint(week=week)
+    plan_b = FaultPlan(seed=9).corrupt_checkpoint(week=week)
+    mangled_a = plan_a.mangle_checkpoint_bytes(buf, week)
+    mangled_b = plan_b.mangle_checkpoint_bytes(buf, week)
     assert mangled_a == mangled_b != buf
-    # Non-matching coordinates leave the buffer alone.
-    assert plan_a.mangle_shard_buffer(buf, shard=1, week=week, attempt=0) == buf
-    assert plan_a.mangle_shard_buffer(buf, shard=2, week=week, attempt=1) == buf
+    # A non-matching week leaves the bytes alone.
+    assert plan_a.mangle_checkpoint_bytes(buf, other_week) == buf
     # A different seed damages a different position.
-    other = FaultPlan(seed=10).corrupt_shard_buffer(shard=2, week=week)
-    assert other.mangle_shard_buffer(buf, shard=2, week=week, attempt=0) != mangled_a
+    other = FaultPlan(seed=10).corrupt_checkpoint(week=week)
+    assert other.mangle_checkpoint_bytes(buf, week) != mangled_a
+    # Truncation is seeded the same way, and always loses bytes.
+    cut_a = FaultPlan(seed=9).corrupt_checkpoint(mode="truncate")
+    cut_b = FaultPlan(seed=9).corrupt_checkpoint(mode="truncate")
+    assert cut_a.mangle_checkpoint_bytes(buf, week) == cut_b.mangle_checkpoint_bytes(
+        buf, week
+    )
+    assert len(cut_a.mangle_checkpoint_bytes(buf, week)) < len(buf)
 
 
 def test_abort_rule_raises_injected_fault():
@@ -177,6 +100,6 @@ def test_abort_rule_raises_injected_fault():
 
 def test_fault_plan_rejects_unknown_modes():
     with pytest.raises(ValueError):
-        FaultPlan().corrupt_shard_buffer(mode="scramble")
+        FaultPlan().corrupt_checkpoint(mode="scramble")
     with pytest.raises(ValueError):
         FaultPlan().corrupt_checkpoint(mode="zero")

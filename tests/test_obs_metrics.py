@@ -17,7 +17,6 @@ from repro.obs import (
     write_metrics,
 )
 from repro.pipeline.engine import ScanPhaseStats
-from repro.pipeline.sharding import SupervisionStats
 
 
 # ----------------------------------------------------------------------
@@ -108,30 +107,6 @@ def test_registry_merge_semantics():
     assert a.value("r") == 0.5
 
 
-def test_counter_deltas_round_trip():
-    registry = MetricsRegistry()
-    registry.counter("a").inc(4)
-    registry.gauge("g").set(9.0)  # non-counters never appear in deltas
-    baseline = registry.counter_deltas()
-    assert baseline == {"a": 4}
-    registry.counter("a").inc(1)
-    registry.counter("b").inc(2)
-    deltas = registry.counter_deltas(baseline)
-    assert deltas == {"a": 1, "b": 2}
-    other = MetricsRegistry()
-    other.apply_counter_deltas(deltas)
-    assert other.value("a") == 1 and other.value("b") == 2
-
-
-def test_supervision_stats_publish_names():
-    registry = MetricsRegistry()
-    SupervisionStats(retries=1, timeouts=2, failures=3, fallbacks=4).publish(registry)
-    assert registry.value("campaign.supervision.retries") == 1
-    assert registry.value("campaign.supervision.timeouts") == 2
-    assert registry.value("campaign.supervision.failures") == 3
-    assert registry.value("campaign.supervision.fallbacks") == 4
-
-
 def test_scan_phase_stats_publish_names():
     registry = MetricsRegistry()
     stats = ScanPhaseStats(
@@ -144,6 +119,8 @@ def test_scan_phase_stats_publish_names():
     assert registry.value("campaign.exchange_cache.hits") == 6
     assert registry.value("campaign.exchange_cache.attempts") == 8
     assert registry.value("campaign.exchange_cache.hit_rate") == 0.75
+    # One process, no dispatch: nothing to report under supervision.
+    assert not [n for n in registry.names() if n.startswith("campaign.supervision.")]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Span tracing: blob codec, cross-process re-parenting, trace export.
+"""Span tracing: implicit parenting, adoption, trace export.
 
-The acceptance bar for the telemetry layer: every worker shard/ticket
-span lands under its dispatching week's site-phase span — including
-retried and inline-fallback executions — the Chrome trace export is
+The acceptance bar for the telemetry layer: every inline ``shard`` span
+lands under its own week's site-phase span, the Chrome trace export is
 structurally valid, and instrumentation never changes results (the
 golden test pins instrumented == uninstrumented report text).
 """
@@ -11,24 +10,14 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 import repro
 from repro.analysis.report import longitudinal_report
-from repro.faults import FaultPlan
-from repro.obs import (
-    Telemetry,
-    Tracer,
-    decode_obs_blob,
-    encode_obs_blob,
-    trace_events,
-    write_trace,
-)
-from repro.obs.spans import OBS_BLOB_VERSION
+from repro.obs import Telemetry, Tracer, trace_events, write_trace
+from repro.obs.spans import Span
 from repro.pipeline import run_campaign
 from repro.web.spec import WorldConfig
 
-from tests.conftest import SMALL_SCALE, requires_fork
+from tests.conftest import SMALL_SCALE
 
 
 def _weeks(world):
@@ -66,63 +55,23 @@ def test_span_context_manager():
     assert span.duration is not None
 
 
-# ----------------------------------------------------------------------
-# Worker obs blob codec
-# ----------------------------------------------------------------------
-def test_obs_blob_round_trip_with_typed_attrs():
+def test_adopt_reparents_roots():
+    """Externally built spans hang off the chosen parent; their internal
+    structure survives with ids remapped into the tracer's id space."""
+    outer = Span("layer", "layer", 0.0, 1, None, 0)
+    inner = Span("sub", "layer", 0.0, 2, 1, 0)
+    for span in (outer, inner):
+        span.duration = 0.0
     tracer = Tracer()
-    with tracer.span("ticket", "worker", ticket=3, attempt=-1, week="2023-W15",
-                     fallback=True, fresh=False, ratio=0.25):
-        pass
-    blob = encode_obs_blob(tracer.spans, {"worker.exchange_cache.hits": 7})
-    spans, deltas = decode_obs_blob(blob)
-    assert deltas == {"worker.exchange_cache.hits": 7}
-    (span,) = spans
-    assert span.name == "ticket" and span.category == "worker"
-    assert span.attrs == {
-        "ticket": 3,
-        "attempt": -1,
-        "week": "2023-W15",
-        "fallback": True,
-        "fresh": False,
-        "ratio": 0.25,
-    }
-    assert span.start == tracer.spans[0].start
-    assert span.duration == tracer.spans[0].duration
-    assert span.pid == tracer.pid
-
-
-def test_obs_blob_drops_open_spans():
-    tracer = Tracer()
-    tracer.begin("open")
-    spans, _ = decode_obs_blob(encode_obs_blob(tracer.spans, {}))
-    assert spans == []
-
-
-def test_obs_blob_empty_and_version_check():
-    assert decode_obs_blob(b"") == ([], {})
-    blob = encode_obs_blob([], {})
-    with pytest.raises(ValueError, match="obs blob version"):
-        decode_obs_blob(bytes([OBS_BLOB_VERSION + 1]) + blob[1:])
-
-
-def test_ingest_reparents_blob_roots():
-    worker = Tracer()
-    with worker.span("ticket", "worker"):
-        with worker.span("sub", "worker"):
-            pass
-    blob = encode_obs_blob(worker.spans, {})
-    parent = Tracer()
-    site = parent.begin("site", "phase")
-    adopted = parent.ingest(blob, parent.current())
-    parent.end(site)
+    site = tracer.begin("site", "phase")
+    adopted = tracer.adopt([outer, inner], tracer.current())
+    tracer.end(site)
     by_name = {span.name: span for span in adopted}
-    # The blob root hangs off the dispatching span; internal structure
-    # survives with remapped ids.
-    assert by_name["ticket"].parent_id == site.span_id
-    assert by_name["sub"].parent_id == by_name["ticket"].span_id
-    ids = [span.span_id for span in parent.spans]
+    assert by_name["layer"].parent_id == site.span_id
+    assert by_name["sub"].parent_id == by_name["layer"].span_id
+    ids = [span.span_id for span in tracer.spans]
     assert len(ids) == len(set(ids))
+    assert tracer.adopt([], None) == []
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +121,7 @@ def test_trace_events_empty_tracer():
 
 
 # ----------------------------------------------------------------------
-# End-to-end re-parenting across executors
+# End-to-end span trees
 # ----------------------------------------------------------------------
 def _campaign_spans(world, telemetry, **kwargs):
     run_campaign(world, weeks=_weeks(world), telemetry=telemetry, **kwargs)
@@ -181,114 +130,28 @@ def _campaign_spans(world, telemetry, **kwargs):
     return spans
 
 
-def _assert_worker_spans_under_their_week(spans, *, expect_workers=True):
-    """Every worker span hangs off the site phase of its own week."""
+def test_inline_shard_spans_nest_under_their_week():
+    """Every inline shard span hangs off the site phase of its own week."""
+    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
+    telemetry = Telemetry()
+    spans = _campaign_spans(world, telemetry, shards=2)
     by_id = {span.span_id: span for span in spans}
-    workers = [span for span in spans if span.category == "worker"]
-    if expect_workers:
-        assert workers, "expected shipped worker spans"
-    for span in workers:
+    shard_spans = [span for span in spans if span.name == "shard"]
+    assert shard_spans, "expected inline shard spans"
+    for span in shard_spans:
+        assert span.category == "shard"
+        assert span.pid == telemetry.tracer.pid
         parent = by_id[span.parent_id]
         assert parent.category == "phase" and parent.name == "site"
         assert parent.attrs["week"] == span.attrs["week"]
         grandparent = by_id[parent.parent_id]
         assert grandparent.name == "week"
         assert grandparent.attrs["week"] == span.attrs["week"]
-    return workers
-
-
-@requires_fork
-def test_forkpool_worker_spans_reparent_under_week():
-    # The shm pool forks its workers; with small site-range tickets
-    # each worker records many ticket spans in its own process.
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    telemetry = Telemetry()
-    spans = _campaign_spans(world, telemetry, workers=2, ticket_sites=4)
-    workers = _assert_worker_spans_under_their_week(spans)
-    # Worker spans recorded in worker processes: different pid.
-    assert telemetry.tracer.pid not in {span.pid for span in workers}
-    assert all(span.name == "ticket" for span in workers)
-    # Worker-side cache counters shipped through the blob trailer.
-    assert telemetry.registry.value("worker.exchange_cache.misses") > 0
-
-
-@requires_fork
-def test_shm_pool_worker_spans_reparent_under_week():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    telemetry = Telemetry()
-    spans = _campaign_spans(world, telemetry, workers=2)
-    workers = _assert_worker_spans_under_their_week(spans)
-    assert all(span.name == "ticket" for span in workers)
-    # Multi-week tickets are harvested inside one week's site phase but
-    # must still split per week: every campaign week has its own
-    # ticket spans.
-    weeks_covered = {span.attrs["week"] for span in workers}
-    assert len(weeks_covered) == len(_weeks(world))
-
-
-@requires_fork
-def test_retried_shard_spans_tag_attempt():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    weeks = _weeks(world)
-    plan = FaultPlan(seed=5).crash_worker(shard=1, week=weeks[0])
-    telemetry = Telemetry()
-    spans = _campaign_spans(
-        world,
-        telemetry,
-        workers=2,
-        fault_plan=plan,
-        shard_timeout=1.5,
-    )
-    workers = _assert_worker_spans_under_their_week(spans)
-    retried = [span for span in workers if span.attrs["attempt"] > 0]
-    assert retried, "expected a retried ticket span tagged attempt>0"
-    assert all(not span.attrs.get("fallback") for span in retried)
-    assert telemetry.registry.value("campaign.supervision.retries") >= 1
-
-
-@requires_fork
-def test_fallback_shard_spans_tag_fallback():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    weeks = _weeks(world)
-    # attempt=None: every pool dispatch of ticket 1 crashes, so
-    # supervision re-executes it inline in the parent.
-    plan = FaultPlan(seed=6).crash_worker(shard=1, week=weeks[0], attempt=None)
-    telemetry = Telemetry()
-    spans = _campaign_spans(
-        world,
-        telemetry,
-        workers=2,
-        fault_plan=plan,
-        shard_timeout=1.5,
-        max_shard_retries=1,
-    )
-    workers = _assert_worker_spans_under_their_week(spans)
-    fallbacks = [span for span in workers if span.attrs.get("fallback")]
-    assert fallbacks, "expected an inline-fallback span tagged fallback=True"
-    # Inline fallback runs in the parent process.
-    parent_pid = telemetry.tracer.pid
-    assert all(span.pid == parent_pid for span in fallbacks)
-    assert telemetry.registry.value("campaign.supervision.fallbacks") >= 1
-
-
-@requires_fork
-def test_shm_pool_fallback_ticket_spans_tag_fallback():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    weeks = _weeks(world)
-    plan = FaultPlan(seed=8).crash_worker(shard=0, week=weeks[0], attempt=None)
-    telemetry = Telemetry()
-    spans = _campaign_spans(
-        world,
-        telemetry,
-        workers=2,
-        fault_plan=plan,
-        shard_timeout=1.0,
-        max_shard_retries=1,
-    )
-    workers = _assert_worker_spans_under_their_week(spans)
-    fallbacks = [span for span in workers if span.attrs.get("fallback")]
-    assert fallbacks, "expected inline-fallback ticket spans"
-    assert all(span.attrs["week"] in {str(w) for w in weeks} for span in fallbacks)
+    # Two shards per week, every campaign week.
+    per_week = {}
+    for span in shard_spans:
+        per_week.setdefault(span.attrs["week"], set()).add(span.attrs["shard"])
+    assert per_week == {str(week): {0, 1} for week in _weeks(world)}
 
 
 def test_inline_campaign_trace_is_exportable(tmp_path):
@@ -321,16 +184,15 @@ def test_inline_campaign_trace_is_exportable(tmp_path):
 # ----------------------------------------------------------------------
 # Golden: instrumentation never changes results
 # ----------------------------------------------------------------------
-@requires_fork
 def test_instrumented_campaign_is_byte_identical():
     """Same world config, with and without telemetry: identical report."""
     plain_world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    plain = run_campaign(plain_world, weeks=_weeks(plain_world), workers=2)
+    plain = run_campaign(plain_world, weeks=_weeks(plain_world), shards=2)
     obs_world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
     instrumented = run_campaign(
         obs_world,
         weeks=_weeks(obs_world),
-        workers=2,
+        shards=2,
         telemetry=Telemetry(),
     )
     assert longitudinal_report(plain) == longitudinal_report(instrumented)

@@ -48,6 +48,23 @@ def test_campaign_weeks_ordered(campaign):
     assert campaign.closest_run(Week(2023, 14)).week == weeks[-1]
 
 
+@pytest.mark.parametrize("cadence", [0, -4])
+def test_campaign_weeks_rejects_non_positive_cadence(shape_world, cadence):
+    from repro.pipeline.campaign import campaign_weeks
+
+    with pytest.raises(ValueError, match="cadence_weeks must be >= 1"):
+        campaign_weeks(shape_world, cadence)
+
+
+def test_campaign_weeks_cadence_one_is_every_week(shape_world):
+    from repro.pipeline.campaign import campaign_weeks
+
+    config = shape_world.config
+    weeks = campaign_weeks(shape_world, 1)
+    assert weeks[0] == config.start_week and weeks[-1] == config.reference_week
+    assert all(b - a == 1 for a, b in zip(weeks, weeks[1:]))
+
+
 def test_campaign_run_at_missing_week_raises(campaign):
     with pytest.raises(KeyError):
         campaign.run_at(Week(2020, 1))

@@ -5,9 +5,7 @@ per-site RNG substreams are seeded from stable identities (world seed,
 week, vantage, family, site, kind), so any shard count and any shard
 execution order must merge to results identical to the
 serial :class:`ScanEngine` run in ``site_rng="per-site"`` mode — same
-observations, same site records, same shared-clock trajectory.  The
-multi-process executor (the shm pool) is golden-tested the same way in
-``tests/test_shm_pool.py``.
+observations, same site records, same shared-clock trajectory.
 """
 
 from __future__ import annotations
@@ -118,8 +116,8 @@ def test_campaign_with_shards_matches_unsharded_per_site():
 
 def test_sharded_engine_rejects_shared_stream_and_bad_executors():
     world = _build()
-    # Inline is the only sharded executor; multi-process runs and their
-    # supervision knobs belong to ShmPoolScanEngine.
+    # Shards run inline, in one process: there is no executor to choose
+    # and no dispatch to supervise.
     for knob in ("executor", "shard_timeout", "max_shard_retries", "fault_plan"):
         with pytest.raises(TypeError):
             ShardedScanEngine(world, shards=2, **{knob: None})

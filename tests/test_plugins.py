@@ -6,8 +6,8 @@ are stable global properties, and a bad selection fails loudly (CLI
 included — unknown plugin is a usage error, exit 2).  Second, the
 engine contract: selecting the default ``ecn`` plugin explicitly is
 **byte-identical** to the pre-plugin engine across vantages, address
-families, the TCP leg, shard counts and all executors; and multi-plugin
-selections produce identical rows under every executor, flow through
+families, the TCP leg and shard counts; and multi-plugin selections
+produce identical rows serial and sharded, flow through
 the exchange cache, checkpoint/resume, the columnar store and the
 report unchanged.
 """
@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.analysis.report import plugin_summary
 from repro.cli import main
-from repro.pipeline import ShmPoolScanEngine, run_campaign
+from repro.pipeline import run_campaign
 from repro.pipeline.sharding import ShardedScanEngine
 from repro.plugins.base import (
     PLUGIN_KIND_BASE,
@@ -40,7 +40,6 @@ from repro.plugins.registry import (
 from repro.store import codec
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
 from tests.test_pipeline_sharding import _assert_runs_equal
 
 SCALE = 6_000
@@ -190,21 +189,8 @@ def test_ecn_plugin_byte_identical_sharded(shards):
     assert world_ref.clock.now == world.clock.now
 
 
-@requires_fork
-def test_ecn_plugin_byte_identical_shm_pool():
-    world_ref, world = _build(), _build()
-    week = world_ref.config.reference_week
-    reference = world_ref.scan_engine().run_week(
-        week, site_rng="per-site", include_tcp=True
-    )
-    with ShmPoolScanEngine(world, workers=2) as engine:
-        run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-
-
 # ----------------------------------------------------------------------
-# Multi-plugin runs: identical rows under every executor
+# Multi-plugin runs: identical rows serial and sharded
 # ----------------------------------------------------------------------
 PLUGINS = ("ecn", "grease", "ebpf")
 
@@ -245,19 +231,6 @@ def test_multi_plugin_sharded_matches_serial(multi_plugin_reference, shards):
     run = ShardedScanEngine(world, shards=shards).run_week(
         world.config.reference_week, include_tcp=True, plugins=PLUGINS
     )
-    _assert_runs_equal(reference, run)
-    _assert_plugin_rows_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-
-
-@requires_fork
-def test_multi_plugin_shm_pool_matches_serial(multi_plugin_reference):
-    world_ref, reference = multi_plugin_reference
-    world = _build()
-    with ShmPoolScanEngine(world, workers=2) as engine:
-        run = engine.run_week(
-            world.config.reference_week, include_tcp=True, plugins=PLUGINS
-        )
     _assert_runs_equal(reference, run)
     _assert_plugin_rows_equal(reference, run)
     assert world_ref.clock.now == world.clock.now

@@ -3,8 +3,8 @@
 The store's contract is that the results layer is invisible: a
 store-backed run serves exactly the fields the eager per-domain
 observation objects would have carried — for every vantage, both IP
-families, TCP+QUIC runs, any shard count, any worker permutation, and
-both shard executors — and every analysis output built on top is
+families, TCP+QUIC runs, any shard count and any shard execution
+order — and every analysis output built on top is
 identical.  Worlds are always built in identically-seeded pairs and
 driven in lockstep, so both paths see the same shared-RNG trajectory.
 """
@@ -20,12 +20,10 @@ from repro.analysis import figures as fig
 from repro.analysis import tables as tab
 from repro.analysis.aggregate import count_by_org, distinct_ips, org_ecn_counts
 from repro.analysis.report import longitudinal_report, reference_report
-from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
+from repro.pipeline.sharding import ShardedScanEngine
 from repro.scanner.results import DomainObservation
 from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
 from repro.web.spec import WorldConfig
-
-from tests.conftest import requires_fork
 
 #: Small world for the wide (vantage x family x tcp) matrix...
 MATRIX_SCALE = 40_000
@@ -119,7 +117,7 @@ def test_store_run_with_tracebox_matches_objects():
 
 
 # ----------------------------------------------------------------------
-# Sharded execution: counts 1/2/4, worker permutation, fork pool
+# Sharded execution: counts 1/2/4, shard-order permutation
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def per_site_objects_run():
@@ -160,22 +158,6 @@ def test_sharded_store_invariant_under_worker_permutation(per_site_objects_run):
         run_tracebox=True,
         backend="store",
     )
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-
-
-@requires_fork
-def test_sharded_store_fork_pool_matches(per_site_objects_run):
-    """Shm-pool workers marshal through the codec; results still golden."""
-    world_ref, reference = per_site_objects_run
-    world = _build(DEEP_SCALE)
-    with ShmPoolScanEngine(world, workers=3) as engine:
-        run = engine.run_week(
-            world.config.reference_week,
-            include_tcp=True,
-            run_tracebox=True,
-            backend="store",
-        )
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 

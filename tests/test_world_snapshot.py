@@ -3,10 +3,10 @@
 The snapshot's contract is that rehydration is invisible: a world
 decoded from a snapshot serves exactly the observations, site records,
 traces, reports and shared-clock trajectory a freshly built world
-produces — for every vantage, both IP families, TCP+QUIC, shard counts
-1/2/4 and both shard executors (the bar the store and exchange-cache
-golden tests set).  Both sides run in lockstep so stateful machinery
-(clock, replay cache, plans) advances identically.
+produces — for every vantage, both IP families, TCP+QUIC and shard
+counts 1/2/4 (the bar the store and exchange-cache golden tests set).
+Both sides run in lockstep so stateful machinery (clock, replay cache,
+plans) advances identically.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from repro.web.providers import (
     default_vantages,
 )
 from repro.web.spec import WorldConfig
-
-from tests.conftest import requires_fork
 
 #: Coarse world for the wide (vantage x family x shards) matrix.
 MATRIX_SCALE = 40_000
@@ -141,6 +139,29 @@ def test_snapshot_round_trips_single_site_world_without_ipv6():
     assert snapshot.encode_world(rehydrated) == buf
 
 
+@settings(max_examples=6, deadline=None)
+@given(scale=st.integers(30_000, 400_000), seed=st.integers(0, 2**31 - 1))
+def test_memoryview_decode_matches_bytes_decode(scale, seed):
+    """decode_world over a borrowed buffer == decode_world over bytes,
+    and the borrowed buffer is never written."""
+    world = repro.build_world(WorldConfig(scale=scale, seed=seed))
+    encoded = snapshot.encode_world(world)
+    mutable = bytearray(encoded)
+    via_view = snapshot.decode_world(memoryview(mutable))
+    via_bytes = snapshot.decode_world(bytes(encoded))
+    assert snapshot.encode_world(via_view) == snapshot.encode_world(via_bytes) == encoded
+    assert mutable == encoded
+
+
+def test_snapshot_decode_rejects_corrupted_bytes():
+    """One flipped body bit fails the frame CRC, whatever the buffer type."""
+    encoded = bytearray(snapshot.encode_world(_build(400_000)))
+    encoded[len(encoded) // 2] ^= 0x04
+    for buf in (bytes(encoded), memoryview(encoded)):
+        with pytest.raises(snapshot.SnapshotCorruption, match="checksum"):
+            snapshot.decode_world(buf)
+
+
 def test_snapshot_rejects_garbage_and_mismatched_specs():
     with pytest.raises(snapshot.SnapshotError):
         snapshot.decode_world(b"not a snapshot at all")
@@ -180,20 +201,14 @@ def test_rehydrated_matches_fresh_for_every_vantage_and_family():
     assert fresh.clock.now == rehydrated.clock.now
 
 
-@pytest.mark.parametrize("shards,executor", [
-    (1, "inline"), (2, "inline"), (4, "inline"),
-    pytest.param(2, "pool", marks=requires_fork),
-    pytest.param(4, "pool", marks=requires_fork),
-])
-def test_rehydrated_campaign_and_analysis_identical(shards, executor):
-    """Sharded campaigns + longitudinal analysis: inline shards and the
-    shm pool (which re-publishes the rehydrated world to its workers)."""
+@pytest.mark.parametrize("shards", [1, 2, 4], ids=lambda n: f"{n}-inline")
+def test_rehydrated_campaign_and_analysis_identical(shards):
+    """Sharded campaigns + longitudinal analysis over inline shards."""
     fresh = _build(MATRIX_SCALE)
     rehydrated = _rehydrated(MATRIX_SCALE)
     weeks = [Week(2022, 22), Week(2023, 5), Week(2023, 15)]
-    partition = {"shards": shards} if executor == "inline" else {"workers": shards}
     campaigns = [
-        repro.run_campaign(world, weeks=weeks, **partition)
+        repro.run_campaign(world, weeks=weeks, shards=shards)
         for world in (fresh, rehydrated)
     ]
     for exp_run, act_run in zip(campaigns[0].runs, campaigns[1].runs, strict=True):
